@@ -25,18 +25,18 @@ world = generate_world(WorldConfig(
     seed=12, num_places=30, num_queries=15, alias_fraction=0.4,
     points_per_scan=48, outlier_rate=0.2,
 ))
-index = build_index(world.database)
+db = build_index(world.database)  # one Database serves retrieval and every re-ranker
 params = RerankParams(n_topk=10)
 
 fooled = repaired = 0
 for query in world.queries:
-    ranked = query_topk(index, query.global_descriptor, k=len(world.database))
+    ranked = query_topk(db, query.global_descriptor, k=len(db))
     positives = world.truth[query.id]
     if ranked.ids[0] in positives:
         continue
     fooled += 1
     decoy = ranked.ids[0]
-    out = rerank_spectral(query, world.database, ranked, params)
+    out = rerank_spectral(query, db, ranked, params)
     if out.ids[0] in positives:
         repaired += 1
     scores = dict(out.entries)
@@ -51,10 +51,9 @@ print(f"\ndescriptor-only retrieval fooled on {fooled}/{len(world.queries)} quer
 # mostly-wrong candidates into the query just produces a noisier query.
 qe_correct = base_correct = 0
 for query in world.queries:
-    ranked = query_topk(index, query.global_descriptor, k=len(world.database))
+    ranked = query_topk(db, query.global_descriptor, k=len(db))
     base_correct += ranked.ids[0] in world.truth[query.id]
-    expanded = rerank_average_qe(index, query.global_descriptor, ranked,
-                                 n_qe=10, k=len(world.database))
+    expanded = rerank_average_qe(db, query.global_descriptor, ranked, n_qe=10, k=len(db))
     qe_correct += expanded.ids[0] in world.truth[query.id]
 
 print(f"top-1 correct: baseline {base_correct}/{len(world.queries)}, "

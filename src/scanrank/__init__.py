@@ -2,12 +2,12 @@
 
 The library covers the full retrieve / re-rank / pose-estimate pipeline:
 
-- `geometry`: points, SE(3) poses, scan records, ranked lists
+- `geometry`: SE(3) poses, scan records, ranked lists
 - `storage`: binary scan archives, dataset manifests, results files
 - `matching`: feature nearest-neighbour correspondences
 - `spectral`: compatibility matrices and the spectral fitness score
 - `registration`: Kabsch + seeded RANSAC, registered inlier ratio
-- `retrieval`: global-descriptor index and exact top-k search
+- `retrieval`: the run's `Database` and exact top-k search
 - `rerank`: spectral, RANSAC-inlier-ratio and query-expansion re-ranking
 - `metrics`: Recall@k, MRR, top-1 distance checks, pose errors
 - `synthgen`: deterministic synthetic worlds with structural aliasing
@@ -20,11 +20,8 @@ from .geometry import (
     RigidTransform,
     ScanRecord,
     geo_distance,
-    se3_apply,
-    se3_compose,
-    se3_inverse,
 )
-from .matching import Correspondence, CorrespondenceSet, match_features, sample_query_points
+from .matching import CorrespondenceSet, match_features, sample_query_points
 from .metrics import (
     MetricReport,
     QueryOutcome,
@@ -50,7 +47,7 @@ from .rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from .retrieval import DescriptorIndex, build_index, query_topk
+from .retrieval import Database, build_index, query_topk
 from .spectral import (
     CompatibilityMatrix,
     SpectralParams,
@@ -59,7 +56,6 @@ from .spectral import (
     power_iterate,
     score_candidate,
     score_candidates,
-    spectral_fitness,
 )
 from .storage import load_dataset, read_results, read_scan, write_results, write_scan
 from .synthgen import SyntheticWorld, WorldConfig, export_world, generate_world
@@ -68,9 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompatibilityMatrix",
-    "Correspondence",
     "CorrespondenceSet",
-    "DescriptorIndex",
+    "Database",
     "MetricReport",
     "OrderingKind",
     "QueryOutcome",
@@ -111,10 +106,6 @@ __all__ = [
     "sample_query_points",
     "score_candidate",
     "score_candidates",
-    "se3_apply",
-    "se3_compose",
-    "se3_inverse",
-    "spectral_fitness",
     "success_rate",
     "write_results",
     "write_scan",

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import InvalidConfigError, ScanrankError
 from .pipeline import RunConfig, bench_table, run_bench, run_from_manifest
 from .registration import RansacParams
+from .rerank import Strategy
 from .spectral import SpectralParams
 from .storage import load_dataset, read_results
 from .synthgen import WorldConfig, export_world, generate_world
@@ -102,6 +103,7 @@ _RANSAC_KEYS = {"inlier_threshold", "ransac_iterations", "confidence"}
 
 
 def load_run_config(path, args: argparse.Namespace) -> RunConfig:
+    """Config file values, overridden by flags, validated before any scan loads."""
     plain: dict = {}
     spectral: dict = {}
     ransac: dict = {}
@@ -116,6 +118,10 @@ def load_run_config(path, args: argparse.Namespace) -> RunConfig:
                 ransac["max_iterations" if key == "ransac_iterations" else key] = value
             else:
                 plain[key] = value
+    for attr in ("manifest", "strategy", "n_topk", "seed", "threads", "out"):
+        value = getattr(args, attr, None)
+        if value is not None:
+            plain[attr] = value
     try:
         cfg = RunConfig(
             spectral=SpectralParams(**spectral),
@@ -123,21 +129,7 @@ def load_run_config(path, args: argparse.Namespace) -> RunConfig:
             **plain,
         )
     except (ValueError, ScanrankError) as exc:
-        raise InvalidConfigError(f"{path}: {exc}") from exc
-
-    overrides = {}
-    for attr in ("strategy", "seed", "threads", "out"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    if getattr(args, "n_topk", None) is not None:
-        overrides["n_topk"] = args.n_topk
-    if getattr(args, "manifest", None):
-        overrides["manifest"] = args.manifest
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if cfg.strategy not in ("none", "spectral", "ransac_rir", "average_qe", "alpha_qe"):
-        raise InvalidConfigError(f"unknown strategy {cfg.strategy!r}")
+        raise InvalidConfigError(f"{path}: {exc}" if path else str(exc)) from exc
     if not cfg.manifest:
         raise InvalidConfigError("a manifest is required (config key 'manifest' or --manifest)")
     if not Path(cfg.manifest).exists():
@@ -226,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--manifest", type=str, default=None)
         p.add_argument("--strategy", type=str, default=None,
-                       choices=["none", "spectral", "ransac_rir", "average_qe", "alpha_qe"])
+                       choices=[s.value for s in Strategy])
         p.add_argument("--n-topk", dest="n_topk", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)

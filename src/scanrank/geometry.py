@@ -23,14 +23,6 @@ ROTATION_TOL = 1e-9
 ROTATION_TOL_F32 = 1e-5
 
 
-def point3(x: float, y: float, z: float) -> Vec3:
-    """Build a validated 3D point; rejects NaN/Inf components."""
-    p = np.array([x, y, z], dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"point components must be finite, got {p}")
-    return p
-
-
 def _as_finite_array(x, shape, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.shape != shape:
@@ -104,20 +96,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T
         return RigidTransform(Rt, -(Rt @ self.translation), orthonormal_tol=ROTATION_TOL_F32)
-
-
-def se3_apply(transform: RigidTransform, point) -> Vec3:
-    """R @ p + t."""
-    return transform.apply(np.asarray(point, dtype=np.float64))
-
-
-def se3_compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Composition applying `b` first, then `a`."""
-    return a.compose(b)
-
-
-def se3_inverse(transform: RigidTransform) -> RigidTransform:
-    return transform.inverse()
 
 
 def geo_distance(a, b) -> float:
@@ -237,14 +215,6 @@ class RankedList:
             raise ValueError("candidate ids must be unique within a ranked list")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_scores(cls, ids, scores, kind: OrderingKind) -> "RankedList":
-        """Stable sort: ascending for distances, descending for fitness."""
-        scores = np.asarray(scores, dtype=np.float64)
-        key = scores if kind is OrderingKind.ASCENDING_DISTANCE else -scores
-        order = np.argsort(key, kind="stable")
-        return cls(tuple((ids[i], float(scores[i])) for i in order), kind)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -255,12 +225,3 @@ class RankedList:
     @property
     def scores(self) -> tuple[float, ...]:
         return tuple(s for _, s in self.entries)
-
-    def top_ids(self, k: int) -> tuple[str, ...]:
-        return self.ids[:k]
-
-    def is_sorted(self) -> bool:
-        s = self.scores
-        if self.ordering_kind is OrderingKind.ASCENDING_DISTANCE:
-            return all(s[i] <= s[i + 1] for i in range(len(s) - 1))
-        return all(s[i] >= s[i + 1] for i in range(len(s) - 1))

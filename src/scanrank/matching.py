@@ -11,17 +11,6 @@ from .geometry import ScanRecord
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """One putative match: query point x paired with candidate point y."""
-
-    query_index: int
-    candidate_index: int
-    x: np.ndarray  # (3,) float64
-    y: np.ndarray  # (3,) float64
-    feature_distance: float
-
-
-@dataclass(frozen=True)
 class CorrespondenceSet:
     """Ordered correspondences, stored as aligned arrays.
 
@@ -52,15 +41,6 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return int(self.query_indices.shape[0])
 
-    def __getitem__(self, i: int) -> Correspondence:
-        return Correspondence(
-            int(self.query_indices[i]),
-            int(self.candidate_indices[i]),
-            self.query_points[i],
-            self.candidate_points[i],
-            float(self.feature_distances[i]),
-        )
-
 
 def sample_query_points(scan: ScanRecord, n_max: int) -> np.ndarray:
     """Deterministic uniform-stride subsample of point indices.
@@ -81,16 +61,18 @@ def sample_query_points(scan: ScanRecord, n_max: int) -> np.ndarray:
 def nn_squared_distances(query_feats: np.ndarray, candidate_feats: np.ndarray) -> np.ndarray:
     """Squared feature distances (b, n, N) for a stack of b candidate scans.
 
-    Computed as |q|^2 + |c|^2 - 2 q.c with one GEMM over the flattened
-    stack; entries may dip a hair below zero. Results are bitwise
-    independent of how candidates are grouped into stacks, which the
-    parallel re-ranking path relies on.
+    Computed as |q|^2 + |c|^2 - 2 q.c with one GEMM per candidate; entries
+    may dip a hair below zero. Each candidate's rows are bitwise independent
+    of which other candidates share the stack, which the parallel re-ranking
+    path relies on. One GEMM over the flattened stack would be large enough
+    for a threaded BLAS to wake its worker threads, whose spin-wait after
+    the call slows every numpy operation that follows on a loaded host.
     """
     q = np.ascontiguousarray(query_feats, dtype=np.float64)
     c = np.ascontiguousarray(candidate_feats, dtype=np.float64)
-    b, big_n, dim = c.shape
-    cross = q @ c.reshape(b * big_n, dim).T            # (n, b*N)
-    d2 = cross.reshape(q.shape[0], b, big_n).transpose(1, 0, 2).copy()
+    d2 = np.empty((c.shape[0], q.shape[0], c.shape[1]))
+    for cand, out in zip(c, d2):
+        np.matmul(q, cand.T, out=out)
     d2 *= -2.0
     d2 += np.einsum("ij,ij->i", q, q)[None, :, None]
     d2 += np.einsum("bij,bij->bi", c, c)[:, None, :]

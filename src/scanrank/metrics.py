@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoEvaluableQueriesError
-from .geometry import RigidTransform, ScanRecord, geo_distance
+from .geometry import RigidTransform, ScanRecord
+from .retrieval import Database
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,12 @@ class QueryOutcome:
         return self.ranked_ids_post if reranked else self.ranked_ids_pre
 
 
-def ground_truth_positives(query: ScanRecord, database: list[ScanRecord], radius: float) -> frozenset[str]:
+def ground_truth_positives(query: ScanRecord, database: Database, radius: float) -> frozenset[str]:
     """Ids of database scans within `radius` meters of the query location."""
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    return frozenset(
-        r.id for r in database if geo_distance(query.geo_location, r.geo_location) <= radius
-    )
+    within = np.flatnonzero(database.distances_to(query.geo_location) <= radius)
+    return frozenset(database.ids[i] for i in within)
 
 
 def _evaluable(outcomes: list[QueryOutcome], radius: float) -> list[QueryOutcome]:

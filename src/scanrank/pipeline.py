@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ScanrankError
-from .geometry import RankedList, ScanRecord, se3_compose, se3_inverse
+from .geometry import RankedList, ScanRecord
 from .matching import match_features
 from .metrics import (
     QueryOutcome,
@@ -35,7 +35,7 @@ from .rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from .retrieval import build_index, query_topk
+from .retrieval import Database, build_index, query_topk
 from .spectral import SpectralParams
 from .storage import ResultsReport, load_dataset, write_results
 
@@ -43,7 +43,7 @@ from .storage import ResultsReport, load_dataset, write_results
 @dataclass(frozen=True)
 class RunConfig:
     manifest: str = ""
-    strategy: str = "spectral"     # none | spectral | ransac_rir | average_qe | alpha_qe
+    strategy: str = "spectral"     # a Strategy value
     n_topk: int = 20
     n_qe: int | None = None        # defaults to n_topk
     alpha: float = 3.0
@@ -57,11 +57,26 @@ class RunConfig:
     bench_n_topk: tuple[int, ...] = (2, 20)
     bench_strategies: tuple[str, ...] = ("spectral", "ransac_rir")
 
+    def __post_init__(self) -> None:
+        known = [s.value for s in Strategy]
+        for name in (self.strategy, *self.bench_strategies):
+            if name not in known:
+                raise ValueError(f"unknown strategy {name!r}, expected one of {known}")
+        if self.n_topk < 1:
+            raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
+        if not all(k >= 1 for k in self.bench_n_topk):
+            raise ValueError(f"every bench_n_topk must be >= 1, got {self.bench_n_topk}")
+        if self.n_qe is not None and self.n_qe < 0:
+            raise ValueError(f"n_qe must be >= 0, got {self.n_qe}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.radii or not all(r > 0 for r in self.radii):
+            raise ValueError(f"radii must be one or more values > 0, got {self.radii}")
+        if not all(k >= 1 for k in self.recall_ks):
+            raise ValueError(f"every recall k must be >= 1, got {self.recall_ks}")
+
     def workers(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
-
-_STRATEGIES = ("none", "spectral", "ransac_rir", "average_qe", "alpha_qe")
+        return self.threads if self.threads > 0 else len(os.sched_getaffinity(0))
 
 
 def _query_seed(run_seed: int, query_ordinal: int, stream: int) -> int:
@@ -69,43 +84,29 @@ def _query_seed(run_seed: int, query_ordinal: int, stream: int) -> int:
     return int(np.random.SeedSequence([run_seed, query_ordinal, stream]).generate_state(1)[0])
 
 
-def _rerank_params(cfg: RunConfig, strategy: Strategy, seed: int) -> RerankParams:
-    return RerankParams(
-        n_topk=cfg.n_topk,
-        strategy=strategy,
-        spectral=cfg.spectral,
-        ransac=replace(cfg.ransac, seed=seed),
-        alpha=cfg.alpha,
-        n_qe=cfg.n_qe,
-    )
-
-
-def _apply_strategy(
+def _rerank(
     cfg: RunConfig,
     query: ScanRecord,
-    database: list[ScanRecord],
-    index,
+    database: Database,
     ranked: RankedList,
     query_ordinal: int,
     workers: int,
 ) -> RankedList:
-    if cfg.strategy == "none":
+    strategy = Strategy(cfg.strategy)
+    if strategy is Strategy.NONE:
         return ranked
-    if cfg.strategy == "spectral":
-        params = _rerank_params(cfg, Strategy.SPECTRAL, 0)
+    if strategy is Strategy.SPECTRAL:
+        params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral)
         return rerank_spectral(query, database, ranked, params, workers=workers)
-    if cfg.strategy == "ransac_rir":
-        seed = _query_seed(cfg.seed, query_ordinal, 0)
-        params = _rerank_params(cfg, Strategy.RANSAC_RIR, seed)
+    if strategy is Strategy.RANSAC_RIR:
+        ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
+        params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral, ransac=ransac)
         return rerank_rir(query, database, ranked, params, workers=workers)
-    n_qe = cfg.n_qe if cfg.n_qe is not None else cfg.n_topk
-    n_qe = min(n_qe, len(ranked))
-    if cfg.strategy == "average_qe":
-        return rerank_average_qe(index, query.global_descriptor, ranked, n_qe, k=len(index.ids))
-    if cfg.strategy == "alpha_qe":
-        return rerank_alpha_qe(index, query.global_descriptor, ranked, n_qe, cfg.alpha,
-                               k=len(index.ids))
-    raise ScanrankError(f"unknown strategy {cfg.strategy!r}")
+    n_qe = min(cfg.n_topk if cfg.n_qe is None else cfg.n_qe, len(ranked))
+    if strategy is Strategy.AVERAGE_QE:
+        return rerank_average_qe(database, query.global_descriptor, ranked, n_qe, k=len(database))
+    return rerank_alpha_qe(database, query.global_descriptor, ranked, n_qe, cfg.alpha,
+                           k=len(database))
 
 
 def process_queries(
@@ -114,46 +115,41 @@ def process_queries(
     cfg: RunConfig,
 ) -> list[QueryOutcome]:
     """Retrieve, re-rank and register every query; never aborts on one query."""
-    if cfg.strategy not in _STRATEGIES:
-        raise ScanrankError(f"unknown strategy {cfg.strategy!r}")
-    index = build_index(database)
-    by_id = {r.id: r for r in database}
+    db = build_index(database)
     workers = cfg.workers()
     outcomes: list[QueryOutcome] = []
     for qi, query in enumerate(queries):
         t0 = time.perf_counter()
-        ranked_pre = query_topk(index, query.global_descriptor, k=len(database))
+        ranked_pre = query_topk(db, query.global_descriptor, k=len(db))
         t1 = time.perf_counter()
         try:
-            ranked_post = _apply_strategy(cfg, query, database, index, ranked_pre, qi, workers)
+            ranked_post = _rerank(cfg, query, db, ranked_pre, qi, workers)
         except ScanrankError:
             ranked_post = ranked_pre
         t2 = time.perf_counter()
 
         pose = None
         gt_rel = None
-        top1 = by_id[ranked_post.ids[0]]
+        top1 = db.records[db.rows[ranked_post.ids[0]]]
         try:
             corrs = match_features(query, top1, cfg.spectral.n_max, cfg.spectral.mutual)
             params = replace(cfg.ransac, seed=_query_seed(cfg.seed, qi, 1))
             pose = ransac_register(corrs, params).transform
-            gt_rel = se3_compose(se3_inverse(top1.gt_pose), query.gt_pose)
+            gt_rel = top1.gt_pose.inverse().compose(query.gt_pose)
         except ScanrankError:
             pose = None
             gt_rel = None
         t3 = time.perf_counter()
 
-        positives = {r: ground_truth_positives(query, database, r) for r in cfg.radii}
-        top1_pre = by_id[ranked_pre.ids[0]]
+        positives = {r: ground_truth_positives(query, db, r) for r in cfg.radii}
+        distances = db.distances_to(query.geo_location)
         outcomes.append(QueryOutcome(
             query_id=query.id,
             ranked_ids_pre=ranked_pre.ids,
             ranked_ids_post=ranked_post.ids,
             positives=positives,
-            top1_distance_pre=float(np.linalg.norm(
-                query.geo_location.astype(np.float64) - top1_pre.geo_location.astype(np.float64))),
-            top1_distance_post=float(np.linalg.norm(
-                query.geo_location.astype(np.float64) - top1.geo_location.astype(np.float64))),
+            top1_distance_pre=float(distances[db.rows[ranked_pre.ids[0]]]),
+            top1_distance_post=float(distances[db.rows[top1.id]]),
             pose_estimate=pose,
             gt_relative=gt_rel,
             timings={
@@ -200,8 +196,9 @@ def build_report(
     identical seeds compare byte-for-byte; aggregate timings go into a
     separate timing record.
     """
+    reranked = Strategy(cfg.strategy) is not Strategy.NONE
     baseline = build_metric_report(outcomes, cfg.recall_ks, cfg.radii,
-                                   reranked=False, include_pose=cfg.strategy == "none")
+                                   reranked=False, include_pose=not reranked)
     summary: dict = {
         "strategy": cfg.strategy,
         "n_topk": cfg.n_topk,
@@ -210,10 +207,9 @@ def build_report(
         "num_queries": len(outcomes),
         "baseline": baseline.to_dict(),
     }
-    if cfg.strategy != "none":
-        reranked = build_metric_report(outcomes, cfg.recall_ks, cfg.radii,
-                                       reranked=True, include_pose=True)
-        summary["reranked"] = reranked.to_dict()
+    if reranked:
+        summary["reranked"] = build_metric_report(outcomes, cfg.recall_ks, cfg.radii,
+                                                  reranked=True, include_pose=True).to_dict()
         summary["top1_distance"] = {}
         for r in cfg.radii:
             violations, pre, post = top1_distance_regressions(outcomes, r)

@@ -19,17 +19,19 @@ from .errors import (
     DimMismatchError,
     EmptyMatrixError,
     TooFewCorrespondencesError,
-    UnresolvedCandidateError,
     ZeroVectorError,
 )
 from .geometry import OrderingKind, RankedList, ScanRecord
 from .matching import match_features
 from .registration import RansacParams, ransac_register
-from .retrieval import DescriptorIndex, query_topk
+from .retrieval import Database, query_topk
 from .spectral import SpectralParams, score_candidates
 
 
 class Strategy(Enum):
+    """Every re-ranking strategy a run can use; the one list of their names."""
+
+    NONE = "none"
     SPECTRAL = "spectral"
     RANSAC_RIR = "ransac_rir"
     AVERAGE_QE = "average_qe"
@@ -39,28 +41,12 @@ class Strategy(Enum):
 @dataclass(frozen=True)
 class RerankParams:
     n_topk: int = 20
-    strategy: Strategy = Strategy.SPECTRAL
     spectral: SpectralParams = field(default_factory=SpectralParams)
     ransac: RansacParams = field(default_factory=RansacParams)
-    alpha: float = 3.0
-    n_qe: int | None = None  # defaults to n_topk
 
     def __post_init__(self) -> None:
         if self.n_topk < 1:
             raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
-        if self.strategy is Strategy.ALPHA_QE and self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-
-
-def _resolve_prefix(
-    candidates: list[ScanRecord], ranked: RankedList, n_topk: int
-) -> list[ScanRecord]:
-    by_id = {c.id: c for c in candidates}
-    prefix = ranked.entries[:n_topk]
-    missing = [i for i, _ in prefix if i not in by_id]
-    if missing:
-        raise UnresolvedCandidateError(f"no scans provided for ranked ids {missing}")
-    return [by_id[i] for i, _ in prefix]
 
 
 def _reorder_prefix(ranked: RankedList, fitness: np.ndarray, n_topk: int) -> RankedList:
@@ -74,7 +60,7 @@ def _reorder_prefix(ranked: RankedList, fitness: np.ndarray, n_topk: int) -> Ran
 
 def rerank_spectral(
     query: ScanRecord,
-    candidates: list[ScanRecord],
+    database: Database,
     ranked: RankedList,
     params: RerankParams,
     workers: int = 1,
@@ -82,7 +68,7 @@ def rerank_spectral(
     """Re-rank the top-k prefix by descending spectral fitness s*."""
     if len(ranked) == 0:
         raise ValueError("ranked list must be non-empty")
-    scans = _resolve_prefix(candidates, ranked, params.n_topk)
+    scans = database.scans(ranked.ids[:params.n_topk])
     scores, _ = score_candidates(query, scans, params.spectral, workers=workers)
     return _reorder_prefix(ranked, scores, params.n_topk)
 
@@ -100,7 +86,7 @@ def _rir_fitness(query: ScanRecord, cand: ScanRecord, params: RerankParams, ordi
 
 def rerank_rir(
     query: ScanRecord,
-    candidates: list[ScanRecord],
+    database: Database,
     ranked: RankedList,
     params: RerankParams,
     workers: int = 1,
@@ -112,7 +98,7 @@ def rerank_rir(
     """
     if len(ranked) == 0:
         raise ValueError("ranked list must be non-empty")
-    scans = _resolve_prefix(candidates, ranked, params.n_topk)
+    scans = database.scans(ranked.ids[:params.n_topk])
     if workers > 1 and len(scans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fitness = list(pool.map(
@@ -123,26 +109,32 @@ def rerank_rir(
     return _reorder_prefix(ranked, np.asarray(fitness), params.n_topk)
 
 
+def _expansion(
+    index: Database, descriptor: np.ndarray, ranked: RankedList, n_qe: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query descriptor and the descriptors of its first n_qe candidates."""
+    g = np.asarray(descriptor, dtype=np.float64).ravel()
+    if g.shape[0] != index.dim:
+        raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
+    if not 0 <= n_qe <= len(ranked):
+        raise ValueError(f"n_qe={n_qe} must lie in [0, {len(ranked)}], the ranked list length")
+    return g, index.descriptors[[index.rows[i] for i in ranked.ids[:n_qe]]]
+
+
 def rerank_average_qe(
-    index: DescriptorIndex,
+    index: Database,
     descriptor: np.ndarray,
     ranked: RankedList,
     n_qe: int,
     k: int,
 ) -> RankedList:
     """Mean-aggregate the query with its first n_qe candidates, re-retrieve."""
-    g = np.asarray(descriptor, dtype=np.float64).ravel()
-    if g.shape[0] != index.dim:
-        raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
-    if n_qe > len(ranked):
-        raise ValueError(f"n_qe={n_qe} exceeds ranked list length {len(ranked)}")
-    stack = [g] + [index.descriptor_of(i) for i in ranked.ids[:n_qe]]
-    expanded = np.mean(np.stack(stack), axis=0)
-    return query_topk(index, expanded, k)
+    g, expansion = _expansion(index, descriptor, ranked, n_qe)
+    return query_topk(index, np.mean(np.vstack([g, expansion]), axis=0), k)
 
 
 def rerank_alpha_qe(
-    index: DescriptorIndex,
+    index: Database,
     descriptor: np.ndarray,
     ranked: RankedList,
     n_qe: int,
@@ -158,18 +150,13 @@ def rerank_alpha_qe(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    g = np.asarray(descriptor, dtype=np.float64).ravel()
-    if g.shape[0] != index.dim:
-        raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
-    if n_qe > len(ranked):
-        raise ValueError(f"n_qe={n_qe} exceeds ranked list length {len(ranked)}")
+    g, expansion = _expansion(index, descriptor, ranked, n_qe)
     gn = np.linalg.norm(g)
     if gn == 0.0:
         raise ZeroVectorError("query descriptor has zero norm")
     g_unit = g / gn
     acc = g_unit.copy()
-    for scan_id in ranked.ids[:n_qe]:
-        gi = index.descriptor_of(scan_id)
+    for gi in expansion:
         norm = np.linalg.norm(gi)
         if norm == 0.0:
             continue

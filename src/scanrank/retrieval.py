@@ -1,4 +1,4 @@
-"""Global-descriptor database and exact top-k similarity search."""
+"""The database of one run and exact top-k similarity search over it."""
 
 from __future__ import annotations
 
@@ -6,49 +6,74 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyDatabaseError
+from .errors import (
+    DimMismatchError,
+    DuplicateIdError,
+    EmptyDatabaseError,
+    UnresolvedCandidateError,
+)
 from .geometry import OrderingKind, RankedList, ScanRecord
 
 
-@dataclass(frozen=True)
-class DescriptorIndex:
-    """Immutable descriptor matrix aligned with scan ids, in database order."""
+@dataclass(frozen=True, eq=False)
+class Database:
+    """Database scans in manifest order, indexed once per run.
 
+    Row i of `records`, `ids`, `descriptors` (N, d) and `locations` (N, 3)
+    describes one scan, and `rows` maps a scan id to its row. Both arrays
+    are float64 and read-only. Clouds and features stay in their records:
+    stacking them would copy every scan.
+    """
+
+    records: tuple[ScanRecord, ...]
     ids: tuple[str, ...]
-    descriptors: np.ndarray  # (|db|, d) float64
+    rows: dict[str, int]
+    descriptors: np.ndarray
+    locations: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("index ids must be unique")
-        d = np.ascontiguousarray(self.descriptors, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] != len(self.ids):
-            raise ValueError(f"descriptors must be ({len(self.ids)}, d), got {d.shape}")
-        d.setflags(write=False)
-        object.__setattr__(self, "descriptors", d)
+    def __len__(self) -> int:
+        return len(self.records)
 
     @property
     def dim(self) -> int:
         return self.descriptors.shape[1]
 
-    def descriptor_of(self, scan_id: str) -> np.ndarray:
-        return self.descriptors[self.ids.index(scan_id)]
+    def scans(self, ids) -> list[ScanRecord]:
+        """Records of `ids`, in the given order."""
+        missing = [i for i in ids if i not in self.rows]
+        if missing:
+            raise UnresolvedCandidateError(f"no scans provided for ranked ids {missing}")
+        return [self.records[self.rows[i]] for i in ids]
+
+    def distances_to(self, location) -> np.ndarray:
+        """Geo distance in meters from `location` to every scan, in row
+        order; bitwise equal to `geo_distance` row by row."""
+        d = np.asarray(location, dtype=np.float64) - self.locations
+        # one 3-term dot per row, summed in the order np.linalg.norm uses
+        # for one vector; norm(axis=1) and einsum differ in the last bit
+        return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
-def build_index(database: list[ScanRecord]) -> DescriptorIndex:
-    """Stack database descriptors, preserving manifest order."""
+def build_index(database: list[ScanRecord]) -> Database:
+    """Index database scans, preserving manifest order."""
     if not database:
         raise EmptyDatabaseError("cannot index an empty database")
     dims = {r.descriptor_dim for r in database}
     if len(dims) > 1:
         raise DimMismatchError(f"mixed descriptor dims in database: {sorted(dims)}")
-    return DescriptorIndex(
-        ids=tuple(r.id for r in database),
-        descriptors=np.stack([r.global_descriptor for r in database]).astype(np.float64),
-    )
+    ids = tuple(r.id for r in database)
+    rows = {scan_id: row for row, scan_id in enumerate(ids)}
+    if len(rows) != len(ids):
+        raise DuplicateIdError("database ids must be unique")
+    descriptors = np.stack([r.global_descriptor for r in database]).astype(np.float64)
+    locations = np.stack([r.geo_location for r in database]).astype(np.float64)
+    descriptors.setflags(write=False)
+    locations.setflags(write=False)
+    return Database(tuple(database), ids, rows, descriptors, locations)
 
 
 def query_topk(
-    index: DescriptorIndex,
+    index: Database,
     descriptor: np.ndarray,
     k: int,
     metric: str = "euclidean",

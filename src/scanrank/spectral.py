@@ -99,9 +99,8 @@ def _compat_values(dx: np.ndarray, y: np.ndarray, d_thr: float) -> np.ndarray:
     np.clip(m, 0.0, None, out=m)
     n = m.shape[-1]
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    m *= upper
-    mt = np.swapaxes(m, -1, -2).copy()
-    m += mt
+    m = np.where(upper, m, np.swapaxes(m, -1, -2))
+    m[..., np.arange(n), np.arange(n)] = 0.0
     return m
 
 
@@ -127,6 +126,9 @@ class SpectralResult:
     converged: bool
 
 
+_CHECK_EVERY = 8  # power iterations between convergence checks
+
+
 def _power_iteration_batch(
     m_stack: np.ndarray, tol: float, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -139,31 +141,63 @@ def _power_iteration_batch(
 
     Each slice starts from the uniform vector and is frozen the moment its
     own stopping rule fires, so a slice's trajectory never depends on which
-    other slices share the batch. A slice whose image vanishes is frozen
-    immediately (covers the all-zero matrix case).
+    other slices share the batch. M is non-negative and the iterates stay
+    non-negative, so the image (M + I)v is never smaller than v and the
+    normalization never divides by zero.
+
+    The live slices are kept at the front of a working copy of the stack,
+    made when the first slice retires; later retirements move only the live
+    slices past the new end into the freed slots, instead of re-gathering
+    the whole live stack on every iteration.
     """
     b, n = m_stack.shape[0], m_stack.shape[1]
     v = np.full((b, n, 1), 1.0 / np.sqrt(n))
     iterations = np.zeros(b, dtype=np.int64)
     converged = np.zeros(b, dtype=bool)
     active = np.arange(b)
+    m_act = m_stack
+    owned = False
+    va = v.copy()
     k = 0
     while active.size and k < max_iters:
-        k += 1
-        va = v[active]
-        w = np.matmul(m_stack[active], va)
-        w += va
-        norms = np.sqrt(np.einsum("bij,bij->b", w, w))
-        dead = norms == 0.0
-        w /= np.where(dead, 1.0, norms)[:, None, None]
-        if dead.any():
-            w[dead] = va[dead]
-        diffs = np.sqrt(np.einsum("bij,bij->b", w - va, w - va))
-        done = (diffs < tol) | dead
-        v[active] = w
-        iterations[active] = k
-        converged[active[done]] = True
-        active = active[~done]
+        # Run a block of iterations, then find where each slice's stopping
+        # rule first fired; iterates past that point are discarded.
+        s = min(_CHECK_EVERY, max_iters - k)
+        trail = np.empty((s + 1,) + va.shape)
+        trail[0] = va
+        for t in range(s):
+            w = np.matmul(m_act, trail[t], out=trail[t + 1])
+            w += trail[t]
+            w /= np.sqrt(np.einsum("bij,bij->b", w, w))[:, None, None]
+        steps = trail[1:] - trail[:-1]
+        fired = np.sqrt(np.einsum("sbij,sbij->sb", steps, steps)) < tol
+        k += s
+        done = np.flatnonzero(fired.any(axis=0))
+        if done.size == 0:
+            va = trail[s]
+            continue
+        first = fired[:, done].argmax(axis=0)
+        retired = active[done]
+        v[retired] = trail[first + 1, done]
+        iterations[retired] = k - s + first + 1
+        converged[retired] = True
+        keep = np.ones(active.size, dtype=bool)
+        keep[done] = False
+        live = np.flatnonzero(keep)
+        if owned:
+            holes = done[done < live.size]
+            movers = live[live >= live.size]
+            m_act[holes] = m_act[movers]
+            m_act = m_act[:live.size]
+            live = np.arange(live.size)
+            live[holes] = movers
+        else:
+            m_act = m_act[live]
+            owned = True
+        active = active[live]
+        va = trail[s][live]
+    v[active] = va
+    iterations[active] = k
     mv = np.matmul(m_stack, v)
     lam = np.einsum("bij,bij->b", v, mv)
     return v[..., 0], lam, iterations, converged
@@ -194,38 +228,22 @@ def power_iterate(
     )
 
 
-def spectral_fitness(matrix: CompatibilityMatrix, params: SpectralParams = SpectralParams()) -> SpectralResult:
-    """s* = v*^T M v*, the scalar spatial-consistency summary of the graph."""
-    return power_iterate(matrix, params.tol, params.max_iters)
+def _matched_points(query_feats: np.ndarray, candidates: list[ScanRecord]) -> np.ndarray:
+    """Nearest-feature candidate point (b, n, 3) for every sampled query point.
 
-
-def _score_stack(
-    dx: np.ndarray,
-    query_feats: np.ndarray,
-    candidates: list[ScanRecord],
-    params: SpectralParams,
-) -> np.ndarray:
-    """Batched s* for candidates sharing the sampled query points.
-
-    Candidates are grouped by point count for the NN step (one GEMM per
-    group); compatibility matrices and the power iteration run as one
-    batch. Per-candidate numbers are bitwise identical to scoring each
-    candidate alone.
+    Candidates are stacked in groups of equal point count; each row is
+    bitwise identical to matching the candidate alone.
     """
-    n = query_feats.shape[0]
-    y = np.empty((len(candidates), n, 3))
+    y = np.empty((len(candidates), query_feats.shape[0], 3))
     groups: dict[int, list[int]] = {}
     for pos, cand in enumerate(candidates):
         groups.setdefault(cand.num_points, []).append(pos)
-    for count, positions in groups.items():
+    for positions in groups.values():
         feats = np.stack([candidates[p].local_features for p in positions]).astype(np.float64)
         pts = np.stack([candidates[p].cloud for p in positions]).astype(np.float64)
-        d2 = nn_squared_distances(query_feats, feats)
-        nn = d2.argmin(axis=2)
+        nn = nn_squared_distances(query_feats, feats).argmin(axis=2)
         y[positions] = np.take_along_axis(pts, nn[:, :, None], axis=1)
-    m_stack = _compat_values(dx, y, params.d_thr)
-    _, lam, _, _ = _power_iteration_batch(m_stack, params.tol, params.max_iters)
-    return lam
+    return y
 
 
 def score_candidates(
@@ -261,25 +279,28 @@ def score_candidates(
             if matrix.n == 0:
                 scores[i] = 0.0
             else:
-                scores[i] = spectral_fitness(matrix, params).s_star
+                scores[i] = power_iterate(matrix, params.tol, params.max_iters).s_star
         return scores, n
 
     query_feats = query.local_features[sampled].astype(np.float64)
     dx = _pairwise_distances(query.cloud[sampled].astype(np.float64))
 
-    workers = max(1, workers)
-    if workers == 1 or len(candidates) == 1:
-        return _score_stack(dx, query_feats, candidates, params), n
-
-    chunk_bounds = np.linspace(0, len(candidates), min(workers, len(candidates)) + 1).astype(int)
-    chunks = [
-        candidates[chunk_bounds[i]:chunk_bounds[i + 1]]
-        for i in range(len(chunk_bounds) - 1)
-        if chunk_bounds[i] < chunk_bounds[i + 1]
-    ]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda ch: _score_stack(dx, query_feats, ch, params), chunks))
-    return np.concatenate(parts), n
+    # Only the compatibility step is split across threads: it is a few large
+    # numpy operations that release the GIL. Matching (one small GEMM per
+    # candidate) and the power iteration (a loop of small operations) hold
+    # the GIL most of the time, so they run once, here, over the whole stack.
+    y = _matched_points(query_feats, candidates)
+    workers = min(max(1, workers), len(candidates))
+    if workers == 1:
+        m_stack = _compat_values(dx, y, params.d_thr)
+    else:
+        bounds = np.linspace(0, len(candidates), workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda lo, hi: _compat_values(dx, y[lo:hi], params.d_thr),
+                                  bounds[:-1], bounds[1:]))
+        m_stack = np.concatenate(parts)
+    _, lam, _, _ = _power_iteration_batch(m_stack, params.tol, params.max_iters)
+    return lam, n
 
 
 def score_candidate(

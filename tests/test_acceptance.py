@@ -22,6 +22,7 @@ from scanrank.metrics import (
     success_rate,
 )
 from scanrank.pipeline import RunConfig, process_queries, run_bench
+from scanrank.rerank import Strategy
 from scanrank.spectral import build_compatibility_matrix, power_iterate, score_candidate
 from scanrank.geometry import RigidTransform, random_rotation
 from scanrank.storage import summary_line
@@ -48,7 +49,7 @@ def strategy_runs(default_world):
     world, gen_seconds = default_world
     runs = {}
     times = {"generate": gen_seconds}
-    for strategy in ("none", "spectral", "ransac_rir", "average_qe", "alpha_qe"):
+    for strategy in (s.value for s in Strategy):
         cfg = RunConfig(strategy=strategy, n_topk=20, seed=0, threads=0)
         t0 = time.perf_counter()
         runs[strategy] = process_queries(world.database, world.queries, cfg)

@@ -1,10 +1,14 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from scanrank.cli import main
+from scanrank import cli
+from scanrank.cli import build_parser, main
+from scanrank.pipeline import RunConfig
+from scanrank.rerank import Strategy
 from scanrank.storage import read_results
 
 
@@ -94,6 +98,40 @@ class TestRun:
         cfg = write_config(tmp_path / "r.cfg", manifest=str(small_dataset),
                            strategy="sorcery")
         assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--strategy", "spectral", "--n-topk", "0"], {}, "n_topk must be >= 1"),
+        (["--strategy", "ransac_rir", "--n-topk", "0"], {}, "n_topk must be >= 1"),
+        (["--strategy", "average_qe", "--n-topk", "0"], {}, "n_topk must be >= 1"),
+        (["--strategy", "alpha_qe"], {"alpha": 0}, "alpha must be > 0"),
+        (["--strategy", "average_qe"], {"n_qe": -1}, "n_qe must be >= 0"),
+        ([], {"radii": "5,-1"}, "radii must be"),
+        ([], {"recall_ks": "1,0"}, "every recall k must be >= 1"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, small_dataset, tmp_path, capsys,
+                                                  monkeypatch, argv, config, message):
+        def no_loading(*args):
+            raise AssertionError("the dataset was loaded before the config was checked")
+
+        monkeypatch.setattr(cli, "run_from_manifest", no_loading)
+        cfg = write_config(tmp_path / "r.cfg", manifest=str(small_dataset), **config)
+        assert main(["run", "--config", str(cfg), "--threads", "1", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("scanrank: config error: ")
+        assert message in err
+        assert out == ""
+
+    def test_strategy_choices_are_the_strategy_enum(self):
+        names = {s.value for s in Strategy}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("run", "bench"):
+            action = next(a for a in sub.choices[command]._actions if a.dest == "strategy")
+            assert set(action.choices) == names
+        for name in names:
+            assert RunConfig(strategy=name).strategy == name
+        with pytest.raises(ValueError):
+            RunConfig(strategy="sorcery")
 
     def test_usage_error_exits_1(self):
         assert main(["run", "--strategy", "not-a-choice"]) == 1

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from scanrank.geometry import (
-    OrderingKind,
     RankedList,
     RigidTransform,
-    ScanRecord,
     geo_distance,
-    point3,
     quantize_pose_f32,
     random_rotation,
     rotation_about_z,
-    se3_apply,
-    se3_compose,
-    se3_inverse,
 )
 
 from conftest import make_scan
@@ -25,55 +19,55 @@ def rot_z_transform(deg, t=(0.0, 0.0, 0.0)):
 
 class TestSe3Apply:
     def test_identity(self):
-        p = se3_apply(RigidTransform.identity(), point3(1.0, 2.0, 3.0))
+        p = RigidTransform.identity().apply(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(p, [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
         T = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(se3_apply(T, point3(0, 0, 0)), [1.0, 0.0, 0.0])
+        assert np.array_equal(T.apply(np.zeros(3)), [1.0, 0.0, 0.0])
 
     def test_rot_z_90(self):
         # hand evaluation: R(90deg) @ (1,0,0) = (0,1,0)
-        p = se3_apply(rot_z_transform(90.0), point3(1.0, 0.0, 0.0))
+        p = rot_z_transform(90.0).apply(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestComposeInverse:
     def test_compose_identity(self):
         T = rot_z_transform(33.0, (1.0, 2.0, 3.0))
-        out = se3_compose(T, RigidTransform.identity())
+        out = T.compose(RigidTransform.identity())
         np.testing.assert_allclose(out.rotation, T.rotation, atol=1e-15)
         np.testing.assert_allclose(out.translation, T.translation, atol=1e-15)
 
     def test_inverse_gives_identity(self, rng):
         for _ in range(20):
             T = RigidTransform(random_rotation(rng), rng.standard_normal(3) * 10)
-            I = se3_compose(T, se3_inverse(T))
+            I = T.compose(T.inverse())
             assert np.linalg.norm(I.rotation - np.eye(3)) < 1e-9
             assert np.linalg.norm(I.translation) < 1e-9
 
     def test_rotation_angles_add(self):
         # rot_z(30) . rot_z(60) = rot_z(90), checked against the matrix product
-        out = se3_compose(rot_z_transform(30.0), rot_z_transform(60.0))
+        out = rot_z_transform(30.0).compose(rot_z_transform(60.0))
         np.testing.assert_allclose(out.rotation, rotation_about_z(np.radians(90.0)), atol=1e-12)
 
     def test_compose_applies_right_first(self):
         A = rot_z_transform(90.0)
         B = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
         # B first, then A: (0,0,0) -> (1,0,0) -> (0,1,0)
-        p = se3_compose(A, B).apply(np.zeros(3))
+        p = A.compose(B).apply(np.zeros(3))
         np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestGeoDistance:
     def test_zero(self):
-        assert geo_distance(point3(0, 0, 0), point3(0, 0, 0)) == 0.0
+        assert geo_distance([0, 0, 0], [0, 0, 0]) == 0.0
 
     def test_3_4_5(self):
-        assert geo_distance(point3(0, 0, 0), point3(3, 4, 0)) == 5.0
+        assert geo_distance([0, 0, 0], [3, 4, 0]) == 5.0
 
     def test_sqrt3(self):
-        assert geo_distance(point3(1, 1, 1), point3(2, 2, 2)) == pytest.approx(np.sqrt(3), rel=1e-15)
+        assert geo_distance([1, 1, 1], [2, 2, 2]) == pytest.approx(np.sqrt(3), rel=1e-15)
 
     def test_metric_axioms(self, rng):
         for _ in range(200):
@@ -124,16 +118,6 @@ class TestRigidTransformValidation:
         np.testing.assert_array_equal(T.translation, again.translation)
 
 
-class TestPoint3:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            point3(np.nan, 0.0, 0.0)
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            point3(0.0, np.inf, 0.0)
-
-
 class TestScanRecord:
     def test_feature_rows_must_match_points(self):
         with pytest.raises(ValueError, match="match cloud points"):
@@ -158,23 +142,18 @@ class TestScanRecord:
         with pytest.raises(ValueError, match="finite"):
             make_scan("a", [[0.0, 0.0, 0.0]], features=np.array([[np.inf, 0, 0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_geo_location(self, bad):
+        with pytest.raises(ValueError, match="geo_location must be finite"):
+            make_scan("a", [[0.0, 0.0, 0.0]], geo=np.array([0.0, bad, 0.0]))
+
 
 class TestRankedList:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
             RankedList((("a", 0.1), ("a", 0.2)))
 
-    def test_from_scores_ascending_stable(self):
-        rl = RankedList.from_scores(["a", "b", "c"], [0.5, 0.5, 0.1], OrderingKind.ASCENDING_DISTANCE)
-        assert rl.ids == ("c", "a", "b")  # tie a/b keeps insertion order
-        assert rl.is_sorted()
-
-    def test_from_scores_descending_stable(self):
-        rl = RankedList.from_scores(["a", "b", "c"], [1.0, 2.0, 2.0], OrderingKind.DESCENDING_FITNESS)
-        assert rl.ids == ("b", "c", "a")
-        assert rl.is_sorted()
-
     def test_top_ids(self):
         rl = RankedList((("a", 0.1), ("b", 0.2)))
-        assert rl.top_ids(1) == ("a",)
+        assert rl.ids[:1] == ("a",)
         assert len(rl) == 2

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from scanrank.errors import DimMismatchError, EmptyScanError
-from scanrank.matching import CorrespondenceSet, match_features, sample_query_points
+from scanrank.matching import (
+    CorrespondenceSet,
+    match_features,
+    nn_squared_distances,
+    sample_query_points,
+)
 
 from conftest import make_scan
 
@@ -136,6 +141,26 @@ class TestMatchFeatures:
         assert np.array_equal(a.feature_distances, b.feature_distances)
 
 
+class TestNnSquaredDistances:
+    @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
+    def test_stack_equals_each_candidate_alone_bitwise(self, rng, b, n, big_n, dim):
+        # with point counts off the BLAS kernel width, one GEMM over the
+        # flattened stack rounds a candidate's columns differently
+        # depending on where they sit in the stack
+        query = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
+        stack = rng.standard_normal((b, big_n, dim)).astype(np.float32)
+        d2 = nn_squared_distances(query, stack)
+        assert d2.shape == (b, n, big_n)
+        for cand, rows in zip(stack, d2):
+            assert np.array_equal(nn_squared_distances(query, cand[None]), rows[None])
+
+    def test_matches_direct_differences(self, rng):
+        query = rng.standard_normal((7, 5))
+        stack = rng.standard_normal((3, 9, 5))
+        direct = ((query[None, :, None, :] - stack[:, None, :, :]) ** 2).sum(axis=-1)
+        np.testing.assert_allclose(nn_squared_distances(query, stack), direct, atol=1e-12)
+
+
 class TestCorrespondenceSet:
     def test_rejects_duplicate_query_indices(self):
         with pytest.raises(ValueError, match="unique"):
@@ -143,13 +168,3 @@ class TestCorrespondenceSet:
                 np.array([0, 0]), np.array([0, 1]),
                 np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2),
             )
-
-    def test_indexing_returns_correspondence(self):
-        cs = CorrespondenceSet(
-            np.array([3]), np.array([7]),
-            np.array([[1.0, 2.0, 3.0]]), np.array([[4.0, 5.0, 6.0]]), np.array([0.5]),
-        )
-        c = cs[0]
-        assert (c.query_index, c.candidate_index) == (3, 7)
-        assert c.feature_distance == 0.5
-        assert np.array_equal(c.x, [1.0, 2.0, 3.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanrank.errors import NoEvaluableQueriesError
+from scanrank.errors import EmptyDatabaseError, NoEvaluableQueriesError
 from scanrank.geometry import RigidTransform, rotation_about_z
 from scanrank.metrics import (
     QueryOutcome,
@@ -12,6 +12,7 @@ from scanrank.metrics import (
     recall_at_k,
     success_rate,
 )
+from scanrank.retrieval import build_index
 
 from conftest import make_scan
 
@@ -34,18 +35,19 @@ def outcome(query_id, ranked_post, positives, ranked_pre=None, pre_dist=0.0, pos
 class TestGroundTruthPositives:
     def test_colocated_included(self):
         q = make_scan("q", [[0, 0, 0]], geo=np.zeros(3))
-        db = [make_scan("a", [[0, 0, 0]], geo=np.zeros(3))]
+        db = build_index([make_scan("a", [[0, 0, 0]], geo=np.zeros(3))])
         assert ground_truth_positives(q, db, 5.0) == {"a"}
 
     def test_threshold_straddle(self):
         q = make_scan("q", [[0, 0, 0]], geo=np.zeros(3))
-        db = [make_scan("a", [[0, 0, 0]], geo=np.array([10.0, 0.0, 0.0]))]
+        db = build_index([make_scan("a", [[0, 0, 0]], geo=np.array([10.0, 0.0, 0.0]))])
         assert ground_truth_positives(q, db, 5.0) == set()
         assert ground_truth_positives(q, db, 20.0) == {"a"}
 
     def test_empty_database(self):
-        q = make_scan("q", [[0, 0, 0]])
-        assert ground_truth_positives(q, [], 5.0) == set()
+        # an empty database fails loudly when indexed, before any positives
+        with pytest.raises(EmptyDatabaseError):
+            ground_truth_positives(make_scan("q", [[0, 0, 0]]), build_index([]), 5.0)
 
 
 class TestRecallAtK:

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from scanrank.metrics import recall_at_k, success_rate
+from scanrank.geometry import geo_distance
+from scanrank.metrics import ground_truth_positives, recall_at_k, success_rate
 from scanrank.pipeline import RunConfig, build_report, process_queries, run, run_bench
+from scanrank.rerank import Strategy
+from scanrank.retrieval import build_index
 from scanrank.spectral import SpectralParams
 from scanrank.storage import read_results, summary_line, write_results
 from scanrank.synthgen import WorldConfig, export_world, generate_world
@@ -51,6 +54,41 @@ class TestProcessQueries:
         assert len(outcomes) == len(aliased_world.queries)
         assert all(o.pose_estimate is None for o in outcomes)
         assert success_rate(outcomes) == 0.0
+
+
+class TestDistances:
+    def test_positives_and_top1_distances_equal_geo_distance_loop(self):
+        # 20,000 query-to-scan distances: a row norm that sums the three
+        # squares in another order differs from geo_distance in the last bit
+        # on a few tenths of a percent of them
+        world = small_world(num_places=400, num_queries=50, points_per_scan=8)
+        database = build_index(world.database)
+        cfg = RunConfig(strategy="none", threads=1, spectral=SpectralParams(n_max=2))
+        outcomes = process_queries(world.database, world.queries, cfg)
+        for query, outcome in zip(world.queries, outcomes):
+            expected = np.array([geo_distance(query.geo_location, r.geo_location)
+                                 for r in world.database])
+            assert np.array_equal(database.distances_to(query.geo_location), expected)
+            for radius in cfg.radii:
+                loop = {r.id for r, d in zip(world.database, expected) if d <= radius}
+                assert ground_truth_positives(query, database, radius) == loop
+                assert outcome.positives[radius] == loop
+            top1 = database.rows[outcome.ranked_ids_pre[0]]
+            assert outcome.top1_distance_pre == expected[top1]
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(strategy="sorcery"), dict(strategy="None"), dict(bench_strategies=("rir",)),
+        dict(n_topk=0), dict(bench_n_topk=(2, 0)), dict(n_qe=-1), dict(alpha=0.0),
+        dict(alpha=float("nan")), dict(radii=()), dict(radii=(5.0, 0.0)), dict(recall_ks=(1, 0)),
+    ])
+    def test_rejects_out_of_range_values(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_n_qe_zero_is_allowed(self):
+        assert RunConfig(n_qe=0).n_qe == 0
 
 
 class TestReports:
@@ -112,13 +150,14 @@ class TestReports:
 
 class TestDeterminism:
     def test_thread_count_does_not_change_summary(self, aliased_world, tmp_path):
-        lines = []
-        for threads in (1, 3):
-            cfg = RunConfig(strategy="spectral", threads=threads,
-                            out=str(tmp_path / f"r{threads}.jsonl"))
-            run(aliased_world.database, aliased_world.queries, cfg)
-            lines.append(summary_line(tmp_path / f"r{threads}.jsonl"))
-        assert lines[0] == lines[1]
+        for strategy in Strategy:
+            lines = []
+            for threads in (1, 3):
+                out = tmp_path / f"{strategy.value}{threads}.jsonl"
+                cfg = RunConfig(strategy=strategy.value, threads=threads, out=str(out))
+                run(aliased_world.database, aliased_world.queries, cfg)
+                lines.append(summary_line(out))
+            assert lines[0] == lines[1], strategy
 
     def test_rir_strategy_deterministic_across_threads(self, aliased_world, tmp_path):
         lines = []

@@ -5,7 +5,6 @@ from scanrank.errors import UnresolvedCandidateError, ZeroVectorError
 from scanrank.geometry import OrderingKind, RankedList
 from scanrank.rerank import (
     RerankParams,
-    Strategy,
     rerank_alpha_qe,
     rerank_average_qe,
     rerank_rir,
@@ -31,20 +30,20 @@ def feature_world(rng, n_candidates=6, n_points=40, dim=6):
             features=rng.standard_normal((n_points, dim)), descriptor=np.zeros(4),
         ))
     ranked = RankedList(tuple((c.id, float(i)) for i, c in enumerate(cands)))
-    return query, cands, ranked
+    return query, build_index(cands), ranked
 
 
 class TestRerankSpectral:
     def test_n_topk_1_keeps_order(self, rng):
-        query, cands, ranked = feature_world(rng)
-        out = rerank_spectral(query, cands, ranked, RerankParams(n_topk=1))
+        query, db, ranked = feature_world(rng)
+        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=1))
         assert out.ids == ranked.ids
 
     def test_promotes_geometrically_consistent_candidate(self, rng):
-        query, cands, ranked = feature_world(rng)
+        query, db, ranked = feature_world(rng)
         # descriptor order put the copy last; spectral fitness pulls it to 1
         reversed_ranked = RankedList(tuple(reversed(ranked.entries)))
-        out = rerank_spectral(query, cands, reversed_ranked, RerankParams(n_topk=6))
+        out = rerank_spectral(query, db, reversed_ranked, RerankParams(n_topk=6))
         assert out.ids[0] == "c0"
         assert out.ordering_kind is OrderingKind.DESCENDING_FITNESS
 
@@ -55,61 +54,60 @@ class TestRerankSpectral:
         cands = [make_scan(f"c{i}", cloud, features=feats, descriptor=np.zeros(4))
                  for i in range(4)]
         ranked = RankedList(tuple((c.id, float(i)) for i, c in enumerate(cands)))
-        out = rerank_spectral(query, cands, ranked, RerankParams(n_topk=4))
+        out = rerank_spectral(query, build_index(cands), ranked, RerankParams(n_topk=4))
         assert out.ids == ranked.ids  # exact score ties keep input order
 
     def test_tail_beyond_n_topk_untouched(self, rng):
-        query, cands, ranked = feature_world(rng)
-        out = rerank_spectral(query, cands, ranked, RerankParams(n_topk=3))
+        query, db, ranked = feature_world(rng)
+        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=3))
         assert out.entries[3:] == ranked.entries[3:]
 
     def test_permutation_of_input_ids(self, rng):
-        query, cands, ranked = feature_world(rng)
-        out = rerank_spectral(query, cands, ranked, RerankParams(n_topk=6))
+        query, db, ranked = feature_world(rng)
+        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=6))
         assert sorted(out.ids) == sorted(ranked.ids)
 
     def test_unresolved_candidate(self, rng):
-        query, cands, ranked = feature_world(rng)
+        query, db, ranked = feature_world(rng)
+        partial = build_index(list(db.records[:-1]))
         with pytest.raises(UnresolvedCandidateError):
-            rerank_spectral(query, cands[:-1], ranked, RerankParams(n_topk=6))
+            rerank_spectral(query, partial, ranked, RerankParams(n_topk=6))
 
     def test_workers_do_not_change_result(self, rng):
-        query, cands, ranked = feature_world(rng, n_candidates=9)
+        query, db, ranked = feature_world(rng, n_candidates=9)
         params = RerankParams(n_topk=9)
-        base = rerank_spectral(query, cands, ranked, params, workers=1)
+        base = rerank_spectral(query, db, ranked, params, workers=1)
         for workers in (2, 4):
-            assert rerank_spectral(query, cands, ranked, params, workers=workers).entries \
+            assert rerank_spectral(query, db, ranked, params, workers=workers).entries \
                 == base.entries
 
 
 class TestRerankRir:
     def test_n_topk_1_keeps_order(self, rng):
-        query, cands, ranked = feature_world(rng)
-        out = rerank_rir(query, cands, ranked, RerankParams(n_topk=1, strategy=Strategy.RANSAC_RIR))
+        query, db, ranked = feature_world(rng)
+        out = rerank_rir(query, db, ranked, RerankParams(n_topk=1))
         assert out.ids == ranked.ids
 
     def test_perfect_copy_beats_random_geometry(self, rng):
-        query, cands, ranked = feature_world(rng)
+        query, db, ranked = feature_world(rng)
         reversed_ranked = RankedList(tuple(reversed(ranked.entries)))
-        out = rerank_rir(query, cands, reversed_ranked,
-                         RerankParams(n_topk=6, strategy=Strategy.RANSAC_RIR))
+        out = rerank_rir(query, db, reversed_ranked,
+                         RerankParams(n_topk=6))
         assert out.ids[0] == "c0"
         assert dict(out.entries)["c0"] == 1.0  # RIR of an exact copy
 
     def test_too_few_correspondences_gets_zero_fitness(self, rng):
-        query, cands, ranked = feature_world(rng)
-        params = RerankParams(
-            n_topk=6, strategy=Strategy.RANSAC_RIR, spectral=SpectralParams(n_max=2)
-        )
-        out = rerank_rir(query, cands, ranked, params)
+        query, db, ranked = feature_world(rng)
+        params = RerankParams(n_topk=6, spectral=SpectralParams(n_max=2))
+        out = rerank_rir(query, db, ranked, params)
         assert len(out) == len(ranked)
         assert all(s == 0.0 for _, s in out.entries[:6])  # 2 corrs < minimum of 3
 
     def test_scheduling_independence(self, rng):
-        query, cands, ranked = feature_world(rng, n_candidates=8)
-        params = RerankParams(n_topk=8, strategy=Strategy.RANSAC_RIR)
-        base = rerank_rir(query, cands, ranked, params, workers=1)
-        again = rerank_rir(query, cands, ranked, params, workers=4)
+        query, db, ranked = feature_world(rng, n_candidates=8)
+        params = RerankParams(n_topk=8)
+        base = rerank_rir(query, db, ranked, params, workers=1)
+        again = rerank_rir(query, db, ranked, params, workers=4)
         assert base.entries == again.entries
 
 
@@ -152,6 +150,17 @@ class TestAverageQe:
         original = query_topk(index, np.zeros(2), k=3)
         with pytest.raises(ValueError):
             rerank_average_qe(index, np.zeros(2), original, n_qe=4, k=3)
+
+    @pytest.mark.parametrize("rerank", [
+        lambda *a: rerank_average_qe(*a, k=3),
+        lambda *a: rerank_alpha_qe(*a, alpha=3.0, k=3),
+    ])
+    def test_negative_n_qe_rejected(self, rng, rerank):
+        # a negative n_qe would slice ids[:-1] and expand silently
+        index = build_index(descriptor_db(rng.standard_normal((3, 2))))
+        original = query_topk(index, np.ones(2), k=3)
+        with pytest.raises(ValueError, match="n_qe=-1"):
+            rerank(index, np.ones(2), original, -1)
 
 
 class TestAlphaQe:
@@ -210,7 +219,7 @@ class TestAliasedWorldRerank:
             positives = world.truth[query.id]
             if ranked.ids[0] in positives:
                 continue
-            out = rerank_spectral(query, world.database, ranked, params)
+            out = rerank_spectral(query, index, ranked, params)
             assert out.ids[0] in positives
             repaired += 1
         assert repaired >= 2  # the seed produces several aliased failures

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from scanrank.errors import DimMismatchError, EmptyDatabaseError
+from scanrank.errors import (
+    DimMismatchError,
+    DuplicateIdError,
+    EmptyDatabaseError,
+    UnresolvedCandidateError,
+)
 from scanrank.geometry import OrderingKind
 from scanrank.retrieval import build_index, query_topk
 
@@ -32,6 +37,21 @@ class TestBuildIndex:
         ]
         with pytest.raises(DimMismatchError):
             build_index(scans)
+
+    def test_duplicate_ids(self):
+        with pytest.raises(DuplicateIdError):
+            build_index([make_scan("a", [[0, 0, 0]]), make_scan("a", [[1, 1, 1]])])
+
+    def test_rows_scans_and_read_only_stacks(self):
+        scans = db_of([[0.0], [1.0], [2.0]])
+        index = build_index(scans)
+        assert index.rows == {"s0": 0, "s1": 1, "s2": 2}
+        assert index.scans(["s2", "s0"]) == [scans[2], scans[0]]
+        assert index.locations.shape == (3, 3) and index.locations.dtype == np.float64
+        with pytest.raises(ValueError):
+            index.descriptors[0, 0] = 1.0
+        with pytest.raises(UnresolvedCandidateError, match="s9"):
+            index.scans(["s1", "s9"])
 
 
 class TestQueryTopk:

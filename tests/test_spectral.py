@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from scanrank.spectral import (
     power_iterate,
     score_candidate,
     score_candidates,
-    spectral_fitness,
 )
 
 from conftest import make_scan
@@ -141,6 +142,19 @@ class TestPowerIterate:
             lam = top_eigenvalue(m)
             assert abs(res.eigenvalue - lam) <= 1e-6 * max(1.0, lam)
 
+    def test_stops_at_the_first_iteration_that_meets_tol(self, rng):
+        # iterations are checked in blocks, so also pin that a run reports
+        # (and returns) the exact iterate where its stopping rule fired
+        for _ in range(10):
+            m = build_compatibility_matrix(random_corr_set(rng, int(rng.integers(5, 60))), 0.5)
+            full = power_iterate(m, max_iters=1000)
+            assert full.converged and full.iterations > 1
+            exact = power_iterate(m, max_iters=full.iterations)
+            assert exact.converged and exact.iterations == full.iterations
+            assert np.array_equal(exact.v_star, full.v_star)
+            short = power_iterate(m, max_iters=full.iterations - 1)
+            assert not short.converged and short.iterations == full.iterations - 1
+
     def test_non_convergence_returns_stale_rayleigh(self, rng):
         m = build_compatibility_matrix(random_corr_set(rng, 60, inlier_rate=0.1), 0.5)
         res = power_iterate(m, tol=1e-15, max_iters=2)
@@ -152,11 +166,11 @@ class TestPowerIterate:
 class TestSpectralFitness:
     def test_all_consistent_gives_n_minus_1(self):
         values = np.ones((4, 4)) - np.eye(4)
-        res = spectral_fitness(CompatibilityMatrix(values, 0.5))
+        res = power_iterate(CompatibilityMatrix(values, 0.5))
         assert res.s_star == pytest.approx(3.0, abs=1e-9)
 
     def test_single_correspondence_scores_zero(self):
-        res = spectral_fitness(CompatibilityMatrix(np.zeros((1, 1)), 0.5))
+        res = power_iterate(CompatibilityMatrix(np.zeros((1, 1)), 0.5))
         assert res.s_star == 0.0
 
     def test_three_consistent_beat_two_consistent(self):
@@ -167,8 +181,8 @@ class TestSpectralFitness:
         y2 = x.copy(); y2[2] = [-30, 7, 12]; y2[3] = [40, 40, 40]
         m3 = build_compatibility_matrix(corr_set(x, y3), 0.5)
         m2 = build_compatibility_matrix(corr_set(x, y2), 0.5)
-        s3 = spectral_fitness(m3).s_star
-        s2 = spectral_fitness(m2).s_star
+        s3 = power_iterate(m3).s_star
+        s2 = power_iterate(m2).s_star
         assert s3 == pytest.approx(top_eigenvalue(m3), abs=1e-9)
         assert s2 == pytest.approx(top_eigenvalue(m2), abs=1e-9)
         assert s3 > s2
@@ -231,7 +245,8 @@ class TestScoreCandidate:
         params = SpectralParams(n_max=25)
         s, n = score_candidate(query, cand, params)
         corrs = match_features(query, cand, params.n_max, params.mutual)
-        expected = spectral_fitness(build_compatibility_matrix(corrs, params.d_thr), params)
+        matrix = build_compatibility_matrix(corrs, params.d_thr)
+        expected = power_iterate(matrix, params.tol, params.max_iters)
         assert n == len(corrs)
         assert s == expected.s_star  # identical arithmetic, bitwise equal
 
@@ -261,8 +276,30 @@ class TestBatchedScoring:
         for cand, s in zip(cands, scores):
             corrs = match_features(query, cand, params.n_max, mutual=True)
             m = build_compatibility_matrix(corrs, params.d_thr)
-            expected = 0.0 if m.n == 0 else spectral_fitness(m, params).s_star
+            expected = 0.0 if m.n == 0 else power_iterate(m, params.tol, params.max_iters).s_star
             assert s == expected
+
+    def test_mutual_path_equals_batched_path_when_nothing_is_dropped(self, rng):
+        # candidates share the query's features, so every pair is mutual and
+        # both paths score the same correspondences; rigidly moved copies
+        # with a random share of displaced points make M far from uniform
+        params = SpectralParams(n_max=40)
+        query = identity_feature_scan("q", rng)
+        cloud = query.cloud.astype(np.float64)
+        cands = []
+        for i in range(50):
+            T = RigidTransform(random_rotation(rng), rng.standard_normal(3) * 15)
+            moved = T.apply(cloud)
+            displaced = rng.random(len(cloud)) < rng.random()
+            moved[displaced] = rng.random((displaced.sum(), 3)) * 20
+            cands.append(make_scan(f"c{i}", moved, features=query.local_features,
+                                   descriptor=np.zeros(4)))
+        for cand in cands:
+            assert len(match_features(query, cand, params.n_max, mutual=True)) == params.n_max
+        batched, n = score_candidates(query, cands, params)
+        mutual, n_mutual = score_candidates(query, cands, replace(params, mutual=True))
+        assert n == n_mutual == params.n_max
+        assert np.array_equal(batched, mutual)
 
     def test_empty_candidate_list(self, rng):
         query = identity_feature_scan("q", rng)

@@ -60,8 +60,9 @@ class TestGenerateWorld:
 
     def test_truth_matches_metrics_positives(self):
         world = generate_world(small_config(alias_fraction=0.25))
+        database = build_index(world.database)
         for query in world.queries:
-            expected = ground_truth_positives(query, world.database, 5.0)
+            expected = ground_truth_positives(query, database, 5.0)
             assert world.truth[query.id] == expected
 
     def test_queries_revisit_within_truth_radius(self):
