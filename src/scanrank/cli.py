@@ -16,7 +16,7 @@ from .pipeline import RunConfig, bench_table, run_bench, run_from_manifest
 from .registration import RansacParams
 from .rerank import Strategy
 from .spectral import SpectralParams
-from .storage import load_dataset, read_results
+from .storage import load_dataset, read_manifest, read_results
 from .synthgen import WorldConfig, export_world, generate_world
 
 _USAGE_EXIT = 1
@@ -103,7 +103,11 @@ _RANSAC_KEYS = {"inlier_threshold", "ransac_iterations", "confidence"}
 
 
 def load_run_config(path, args: argparse.Namespace) -> RunConfig:
-    """Config file values, overridden by flags, validated before any scan loads."""
+    """Config file values, overridden by flags, validated before any scan loads.
+
+    The manifest is parsed here too, so a malformed one (an unknown role, a
+    duplicate id, a path escaping its directory) is a config error.
+    """
     plain: dict = {}
     spectral: dict = {}
     ransac: dict = {}
@@ -132,8 +136,10 @@ def load_run_config(path, args: argparse.Namespace) -> RunConfig:
         raise InvalidConfigError(f"{path}: {exc}" if path else str(exc)) from exc
     if not cfg.manifest:
         raise InvalidConfigError("a manifest is required (config key 'manifest' or --manifest)")
-    if not Path(cfg.manifest).exists():
-        raise InvalidConfigError(f"manifest not found: {cfg.manifest}")
+    try:
+        read_manifest(cfg.manifest)
+    except ScanrankError as exc:
+        raise InvalidConfigError(str(exc)) from exc
     return cfg
 
 

@@ -1,9 +1,10 @@
 """Correspondence-based rigid registration: Kabsch fits inside seeded RANSAC.
 
-The RANSAC loop is deterministic for a fixed seed: all hypothesis triples
-are drawn up front from one generator, evaluated in draw order (in
-vectorized blocks), and the adaptive confidence exit is applied on the
-draw index, so block size never changes the result.
+The RANSAC loop is deterministic for a fixed seed: hypothesis triples are
+drawn in order from one seeded stream, block by block (16, 32, 64, then
+128 at a time), only as far as the adaptive confidence exit reaches. Each
+block is evaluated vectorized and the exit is applied on the draw index,
+so block size never changes the result.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from .geometry import RigidTransform
 from .matching import CorrespondenceSet
 
 _RANK_TOL = 1e-9
-_BLOCK = 128
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class RansacParams:
     inlier_threshold: float = 0.5   # meters
     max_iterations: int = 1000
-    min_sample: int = 3
     seed: int = 0
     confidence: float = 0.999
 
@@ -38,8 +39,6 @@ class RansacParams:
             raise ValueError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.min_sample != 3:
-            raise ValueError("min_sample is fixed at 3 for rigid fits")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
 
@@ -123,30 +122,27 @@ def ransac_register(corrs: CorrespondenceSet, params: RansacParams = RansacParam
     tau = params.inlier_threshold
 
     rng = np.random.default_rng(params.seed)
-    keys = rng.random((params.max_iterations, n))
-    triples = np.argpartition(keys, 2, axis=1)[:, :3]
-
     best_count = -1
     best_rot: np.ndarray | None = None
     best_t: np.ndarray | None = None
     needed = float(params.max_iterations)
 
-    stop = False
-    for start in range(0, params.max_iterations, _BLOCK):
-        if stop or start >= needed:
-            break
-        blk = triples[start:start + _BLOCK]
+    # Each block's keys are drawn just before it runs, in blocks that double
+    # up to _MAX_BLOCK: the generator yields the same keys however the draws
+    # are chunked, so stopping early only skips draws nobody reads.
+    start, size, stop = 0, _FIRST_BLOCK, False
+    while not stop and start < needed:
+        keys = rng.random((min(size, params.max_iterations - start), n))
+        blk = np.argpartition(keys, 2, axis=1)[:, :3]
         rot, t, valid = _batched_kabsch(x[blk], y[blk])
         # residuals of every point under every hypothesis in the block
         tx = np.einsum("mij,nj->mni", rot, x) + t[:, None, :]
         counts = ((((tx - y[None]) ** 2).sum(axis=2)) < tau * tau).sum(axis=1)
-        for j in range(blk.shape[0]):
+        for j, (ok, c) in enumerate(zip(valid.tolist(), counts.tolist())):
             if start + j >= needed:
-                stop = True
                 break
-            if not valid[j]:
+            if not ok:
                 continue
-            c = int(counts[j])
             if c > best_count:
                 best_count = c
                 best_rot, best_t = rot[j], t[j]
@@ -157,6 +153,8 @@ def ransac_register(corrs: CorrespondenceSet, params: RansacParams = RansacParam
                 log_fail = np.log(1.0 - w ** 3)
                 if log_fail < 0.0:
                     needed = min(needed, np.log(1.0 - params.confidence) / log_fail)
+        start += blk.shape[0]
+        size = min(2 * size, _MAX_BLOCK)
 
     if best_rot is None:
         raise DegenerateConfigurationError("every sampled triple was degenerate")

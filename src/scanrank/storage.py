@@ -6,16 +6,20 @@ Archive layout (all little-endian):
     gt_pose 16 f32 row-major 4x4 homogeneous | geo_location 3 f32
 
 Manifest: UTF-8 text, one `<role> <id> <relative-path>` record per line with
-role `db` or `query`; `#` starts a comment line.
+role `db` or `query`; `#` starts a comment line. Paths stay inside the
+manifest's directory: absolute paths and `..` components are rejected.
 
 Results file: newline-delimited JSON records with deterministic key order; a
 leading header record carries the run configuration, per-query records follow,
-and a summary record closes the file.
+and a summary record closes the file. It is written to a temporary file and
+renamed onto the target, so a failed write leaves any earlier file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,6 +142,10 @@ def read_manifest(path) -> DatasetManifest:
         if scan_id in seen:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate id {scan_id!r}")
         seen.add(scan_id)
+        # string checks, not Path parts: this runs once per line of manifests
+        # with thousands of lines; either slash counts as a separator
+        if os.path.isabs(rel) or ".." in rel.replace("\\", "/").split("/"):
+            raise IoError(f"{path}:{lineno}: path {rel!r} escapes the dataset directory")
         target = base / rel
         if role == "db":
             db.append((scan_id, target))
@@ -190,16 +198,23 @@ def write_results(path, report: ResultsReport) -> None:
 
     Key order is sorted so identical reports produce identical bytes. The
     summary record carries no timing fields; aggregate timings go into a
-    separate record so summaries compare bytewise across hosts.
+    separate record so summaries compare bytewise across hosts. The bytes go
+    to a temporary file in the target's directory, which then replaces the
+    target; on failure the temporary file is removed and `IoError` raised.
     """
     lines = [_dump("header", {"config": report.config})]
     lines += [_dump("query", q) for q in report.per_query]
     if report.timing:
         lines.append(_dump("timing", report.timing))
     lines.append(_dump("summary", {"summary": report.summary}))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise IoError(f"cannot write results to {path}: {exc}") from exc
 
 

@@ -94,6 +94,14 @@ class TestRun:
     def test_missing_manifest_exits_1(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "none.txt")]) == 1
 
+    def test_manifest_path_escaping_its_directory_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("db a a.sgv\nquery q ../q.sgv\n")
+        assert main(["run", "--manifest", str(manifest), "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scanrank: config error: ")
+        assert f"{manifest}:2: path '../q.sgv' escapes the dataset directory" in err
+
     def test_unknown_strategy_exits_1(self, small_dataset, tmp_path):
         cfg = write_config(tmp_path / "r.cfg", manifest=str(small_dataset),
                            strategy="sorcery")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from scanrank.matching import CorrespondenceSet
 from scanrank.metrics import pose_errors
 from scanrank.registration import (
     RansacParams,
+    RegistrationResult,
+    _batched_kabsch,
+    _kabsch_arrays,
+    _residuals,
     kabsch_fit,
     ransac_register,
     registered_inlier_ratio,
@@ -144,6 +150,104 @@ class TestRansacRegister:
             recomputed = registered_inlier_ratio(corrs, res.transform, params.inlier_threshold)
             assert res.inlier_ratio == recomputed
             assert res.inlier_ratio == res.inlier_mask.sum() / len(corrs)
+
+
+def eager_ransac_register(corrs, params):
+    """Reference RANSAC: every hypothesis's keys drawn up front, then fitted
+    and scored in fixed blocks of 128 with the same adaptive exit."""
+    n = len(corrs)
+    x, y, tau = corrs.query_points, corrs.candidate_points, params.inlier_threshold
+    rng = np.random.default_rng(params.seed)
+    triples = np.argpartition(rng.random((params.max_iterations, n)), 2, axis=1)[:, :3]
+    best_count, best_rot, best_t = -1, None, None
+    needed = float(params.max_iterations)
+    stop = False
+    for start in range(0, params.max_iterations, 128):
+        if stop or start >= needed:
+            break
+        blk = triples[start:start + 128]
+        rot, t, valid = _batched_kabsch(x[blk], y[blk])
+        tx = np.einsum("mij,nj->mni", rot, x) + t[:, None, :]
+        counts = ((((tx - y[None]) ** 2).sum(axis=2)) < tau * tau).sum(axis=1)
+        for j in range(blk.shape[0]):
+            if start + j >= needed:
+                stop = True
+                break
+            if not valid[j]:
+                continue
+            c = int(counts[j])
+            if c > best_count:
+                best_count, best_rot, best_t = c, rot[j], t[j]
+                w = c / n
+                if w >= 1.0:
+                    stop = True
+                    break
+                log_fail = np.log(1.0 - w ** 3)
+                if log_fail < 0.0:
+                    needed = min(needed, np.log(1.0 - params.confidence) / log_fail)
+    if best_rot is None:
+        raise DegenerateConfigurationError("every sampled triple was degenerate")
+    transform = RigidTransform(best_rot, best_t, orthonormal_tol=1e-7)
+    mask = _residuals(transform.rotation, transform.translation, x, y) < tau
+    if int(mask.sum()) >= 3:
+        try:
+            transform = _kabsch_arrays(x[mask], y[mask])
+            mask = _residuals(transform.rotation, transform.translation, x, y) < tau
+        except DegenerateConfigurationError:
+            pass
+    return RegistrationResult(transform, mask, float(int(mask.sum()) / n))
+
+
+def outcome(register, corrs, params):
+    try:
+        res = register(corrs, params)
+    except DegenerateConfigurationError as exc:
+        return ("raised", type(exc), str(exc))
+    return (res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
+            res.inlier_mask.tobytes(), res.inlier_ratio)
+
+
+class TestBlockwiseDrawsMatchEagerReference:
+    """Drawing each block's keys just before it runs must give bitwise the
+    result of drawing every key up front."""
+
+    @pytest.mark.parametrize("n", [3, 13, 96, 300])
+    @pytest.mark.parametrize("outlier_rate", [0.0, 0.3, 0.9])
+    def test_bitwise_equal(self, n, outlier_rate):
+        rng = np.random.default_rng(1000 * n + int(10 * outlier_rate))
+        x = rng.random((n, 3)) * 10.0
+        y = RigidTransform(random_rotation(rng), rng.standard_normal(3)).apply(x)
+        out = rng.random(n) < outlier_rate
+        y[out] = rng.random((int(out.sum()), 3)) * 10.0
+        corrs = corrs_from(x, y)
+        for seed in (0, 1, 12345):
+            for max_iterations in (1, 15, 50, 129, 1000):
+                params = RansacParams(inlier_threshold=0.3, max_iterations=max_iterations,
+                                      seed=seed)
+                assert outcome(ransac_register, corrs, params) == \
+                    outcome(eager_ransac_register, corrs, params)
+
+    def test_all_degenerate_raises_the_same_error(self):
+        line = np.linspace(0, 1, 7)[:, None] * np.array([[1.0, 2.0, 0.5]])
+        for max_iterations in (1, 15, 129, 300):
+            params = RansacParams(max_iterations=max_iterations, seed=3)
+            got = outcome(ransac_register, corrs_from(line, line), params)
+            assert got[0] == "raised"
+            assert got == outcome(eager_ransac_register, corrs_from(line, line), params)
+
+    def test_memory_does_not_grow_with_max_iterations(self, rng):
+        # drawing 20k x 96 keys up front peaks near 30 MB (keys + argpartition)
+        x = rng.random((96, 3)) * 10.0
+        corrs = corrs_from(x, RigidTransform(random_rotation(rng), np.ones(3)).apply(x))
+        params = RansacParams(max_iterations=20_000, seed=0)
+        tracemalloc.start()
+        try:
+            res = ransac_register(corrs, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.inlier_ratio == 1.0
+        assert peak < 2_000_000
 
 
 class TestRegisteredInlierRatio:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from scanrank.geometry import RigidTransform, rotation_about_z
 from scanrank.storage import (
     ResultsReport,
     load_dataset,
+    read_manifest,
     read_results,
     read_scan,
     summary_line,
@@ -148,6 +151,20 @@ class TestManifest:
             load_dataset(manifest)
 
 
+    @pytest.mark.parametrize("rel", ["../outside.sgv", "sub/../../outside.sgv",
+                                     "..\\outside.sgv", "/etc/outside.sgv"])
+    def test_path_escaping_the_directory(self, tmp_path, rel):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"# header\ndb a a.sgv\nquery q {rel}\n")
+        with pytest.raises(IoError, match=r"m\.txt:3: .*escapes the dataset directory"):
+            read_manifest(manifest)
+
+    def test_nested_relative_path_is_accepted(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("db a scans/./a.sgv\n")
+        assert read_manifest(manifest).database == (("a", tmp_path / "scans" / "a.sgv"),)
+
+
 class TestResultsFile:
     def test_empty_run_has_header_and_summary(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -196,3 +213,17 @@ class TestResultsFile:
         blocker.write_text("x")
         with pytest.raises(IoError):
             write_results(blocker / "nested.jsonl", ResultsReport(config={}))
+
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.jsonl"
+        write_results(path, ResultsReport(config={"run": 1}, summary={"v": 1}))
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(IoError, match="simulated rename failure"):
+            write_results(path, ResultsReport(config={"run": 2}, summary={"v": 2}))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
