@@ -9,8 +9,6 @@ Query-expansion re-ranking, which never looks at geometry, is shown for
 contrast.
 """
 
-import numpy as np
-
 from scanrank import (
     RerankParams,
     WorldConfig,
@@ -19,6 +17,7 @@ from scanrank import (
     query_topk,
     rerank_average_qe,
     rerank_spectral,
+    score_candidates,
 )
 
 world = generate_world(WorldConfig(
@@ -36,13 +35,14 @@ for query in world.queries:
         continue
     fooled += 1
     decoy = ranked.ids[0]
-    out = rerank_spectral(query, db, ranked, params)
+    out = rerank_spectral(query, ranked, params)
     if out.ids[0] in positives:
         repaired += 1
-    scores = dict(out.entries)
     true_id = world.query_sources[query.id]
+    (s_true, s_decoy), _ = score_candidates(
+        query, [db.records[db.ids.index(true_id)], db.records[ranked.rows[0]]], params.spectral)
     print(f"{query.id}: descriptor picked {decoy}, spectral picked {out.ids[0]} "
-          f"(s* true {scores[true_id]:.1f} vs decoy {scores[decoy]:.1f})")
+          f"(s* true {s_true:.1f} vs decoy {s_decoy:.1f})")
 
 print(f"\ndescriptor-only retrieval fooled on {fooled}/{len(world.queries)} queries; "
       f"spectral re-ranking repaired {repaired}/{fooled}")
@@ -53,7 +53,7 @@ qe_correct = base_correct = 0
 for query in world.queries:
     ranked = query_topk(db, query.global_descriptor, k=len(db))
     base_correct += ranked.ids[0] in world.truth[query.id]
-    expanded = rerank_average_qe(db, query.global_descriptor, ranked, n_qe=10, k=len(db))
+    expanded = rerank_average_qe(query.global_descriptor, ranked, n_qe=10, k=len(db))
     qe_correct += expanded.ids[0] in world.truth[query.id]
 
 print(f"top-1 correct: baseline {base_correct}/{len(world.queries)}, "

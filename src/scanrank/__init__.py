@@ -2,25 +2,19 @@
 
 The library covers the full retrieve / re-rank / pose-estimate pipeline:
 
-- `geometry`: SE(3) poses, scan records, ranked lists
+- `geometry`: SE(3) poses, scan records
 - `storage`: binary scan archives, dataset manifests, results files
 - `matching`: feature nearest-neighbour correspondences
 - `spectral`: compatibility matrices and the spectral fitness score
 - `registration`: Kabsch + seeded RANSAC, registered inlier ratio
-- `retrieval`: the run's `Database` and exact top-k search
+- `retrieval`: the run's `Database`, ranked lists of its rows, exact top-k search
 - `rerank`: spectral, RANSAC-inlier-ratio and query-expansion re-ranking
 - `metrics`: Recall@k, MRR, top-1 distance checks, pose errors
 - `synthgen`: deterministic synthetic worlds with structural aliasing
 - `pipeline` / `cli`: end-to-end runs and the benchmark harness
 """
 
-from .geometry import (
-    OrderingKind,
-    RankedList,
-    RigidTransform,
-    ScanRecord,
-    geo_distance,
-)
+from .geometry import RigidTransform, ScanRecord, geo_distance
 from .matching import CorrespondenceSet, match_features, sample_query_points
 from .metrics import (
     MetricReport,
@@ -47,14 +41,13 @@ from .rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from .retrieval import Database, build_index, query_topk
+from .retrieval import Database, RankedList, build_index, query_topk
 from .spectral import (
     CompatibilityMatrix,
     SpectralParams,
     SpectralResult,
     build_compatibility_matrix,
     power_iterate,
-    score_candidate,
     score_candidates,
 )
 from .storage import load_dataset, read_results, read_scan, write_results, write_scan
@@ -67,7 +60,6 @@ __all__ = [
     "CorrespondenceSet",
     "Database",
     "MetricReport",
-    "OrderingKind",
     "QueryOutcome",
     "RankedList",
     "RansacParams",
@@ -104,7 +96,6 @@ __all__ = [
     "rerank_rir",
     "rerank_spectral",
     "sample_query_points",
-    "score_candidate",
     "score_candidates",
     "success_rate",
     "write_results",

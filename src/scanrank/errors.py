@@ -70,7 +70,7 @@ class EmptyDatabaseError(ScanrankError):
 
 
 class UnresolvedCandidateError(ScanrankError):
-    """A ranked-list entry does not match any provided candidate scan."""
+    """A ranked list names a row its database does not have."""
 
 
 class ZeroVectorError(ScanrankError):

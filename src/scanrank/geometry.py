@@ -1,4 +1,4 @@
-"""Core geometric and domain primitives: points, rigid poses, scans, ranked lists.
+"""Core geometric and domain primitives: points, rigid poses, scans.
 
 All types are immutable value objects; every pipeline stage is a pure
 function over them, so they are safe to share between threads.
@@ -7,7 +7,6 @@ function over them, so they are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
@@ -189,39 +188,3 @@ class ScanRecord:
     @property
     def descriptor_dim(self) -> int:
         return self.global_descriptor.shape[0]
-
-
-class OrderingKind(Enum):
-    ASCENDING_DISTANCE = "ascending_distance"
-    DESCENDING_FITNESS = "descending_fitness"
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Ordered candidate ids with per-candidate scores.
-
-    Builders produce entries sorted per `ordering_kind` with stable ties.
-    A re-ranked list is only sorted over its re-scored prefix; entries
-    past the prefix keep their original order and scores.
-    """
-
-    entries: tuple[tuple[str, float], ...]
-    ordering_kind: OrderingKind = OrderingKind.ASCENDING_DISTANCE
-
-    def __post_init__(self) -> None:
-        entries = tuple((str(i), float(s)) for i, s in self.entries)
-        ids = [i for i, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("candidate ids must be unique within a ranked list")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(s for _, s in self.entries)

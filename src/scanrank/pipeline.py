@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ScanrankError
-from .geometry import RankedList, ScanRecord
+from .geometry import ScanRecord
 from .matching import match_features
 from .metrics import (
     QueryOutcome,
@@ -35,7 +35,7 @@ from .rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from .retrieval import Database, build_index, query_topk
+from .retrieval import RankedList, build_index, query_topk
 from .spectral import SpectralParams
 from .storage import ResultsReport, load_dataset, write_results
 
@@ -87,7 +87,6 @@ def _query_seed(run_seed: int, query_ordinal: int, stream: int) -> int:
 def _rerank(
     cfg: RunConfig,
     query: ScanRecord,
-    database: Database,
     ranked: RankedList,
     query_ordinal: int,
     workers: int,
@@ -97,16 +96,16 @@ def _rerank(
         return ranked
     if strategy is Strategy.SPECTRAL:
         params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral)
-        return rerank_spectral(query, database, ranked, params, workers=workers)
+        return rerank_spectral(query, ranked, params, workers=workers)
     if strategy is Strategy.RANSAC_RIR:
         ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
         params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral, ransac=ransac)
-        return rerank_rir(query, database, ranked, params, workers=workers)
+        return rerank_rir(query, ranked, params, workers=workers)
     n_qe = min(cfg.n_topk if cfg.n_qe is None else cfg.n_qe, len(ranked))
+    k = len(ranked.database)
     if strategy is Strategy.AVERAGE_QE:
-        return rerank_average_qe(database, query.global_descriptor, ranked, n_qe, k=len(database))
-    return rerank_alpha_qe(database, query.global_descriptor, ranked, n_qe, cfg.alpha,
-                           k=len(database))
+        return rerank_average_qe(query.global_descriptor, ranked, n_qe, k=k)
+    return rerank_alpha_qe(query.global_descriptor, ranked, n_qe, cfg.alpha, k=k)
 
 
 def process_queries(
@@ -123,14 +122,14 @@ def process_queries(
         ranked_pre = query_topk(db, query.global_descriptor, k=len(db))
         t1 = time.perf_counter()
         try:
-            ranked_post = _rerank(cfg, query, db, ranked_pre, qi, workers)
+            ranked_post = _rerank(cfg, query, ranked_pre, qi, workers)
         except ScanrankError:
             ranked_post = ranked_pre
         t2 = time.perf_counter()
 
         pose = None
         gt_rel = None
-        top1 = db.records[db.rows[ranked_post.ids[0]]]
+        top1 = db.records[ranked_post.rows[0]]
         try:
             corrs = match_features(query, top1, cfg.spectral.n_max, cfg.spectral.mutual)
             params = replace(cfg.ransac, seed=_query_seed(cfg.seed, qi, 1))
@@ -148,8 +147,8 @@ def process_queries(
             ranked_ids_pre=ranked_pre.ids,
             ranked_ids_post=ranked_post.ids,
             positives=positives,
-            top1_distance_pre=float(distances[db.rows[ranked_pre.ids[0]]]),
-            top1_distance_post=float(distances[db.rows[top1.id]]),
+            top1_distance_pre=float(distances[ranked_pre.rows[0]]),
+            top1_distance_post=float(distances[ranked_post.rows[0]]),
             pose_estimate=pose,
             gt_relative=gt_rel,
             timings={

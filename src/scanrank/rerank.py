@@ -2,8 +2,8 @@
 
 Two geometric-verification strategies (spectral fitness, registered inlier
 ratio) permute the top-k prefix of the input list; two query-expansion
-strategies aggregate descriptors and re-retrieve from the full index, so
-their output may contain ids absent from the input list.
+strategies aggregate descriptors and re-retrieve from the list's whole
+database, so their output may contain rows absent from the input list.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .errors import (
     TooFewCorrespondencesError,
     ZeroVectorError,
 )
-from .geometry import OrderingKind, RankedList, ScanRecord
+from .geometry import ScanRecord
 from .matching import match_features
 from .registration import RansacParams, ransac_register
-from .retrieval import Database, query_topk
+from .retrieval import RankedList, query_topk
 from .spectral import SpectralParams, score_candidates
 
 
@@ -49,28 +49,25 @@ class RerankParams:
             raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
 
 
-def _reorder_prefix(ranked: RankedList, fitness: np.ndarray, n_topk: int) -> RankedList:
-    """Stable descending sort of the first n_topk entries by fitness; the
-    tail keeps its original order and scores."""
-    prefix = ranked.entries[:n_topk]
+def _reorder_prefix(ranked: RankedList, fitness: np.ndarray) -> RankedList:
+    """Stable descending sort of the first len(fitness) rows by fitness; the
+    tail keeps its original order."""
     order = np.argsort(-np.asarray(fitness, dtype=np.float64), kind="stable")
-    entries = tuple((prefix[i][0], float(fitness[i])) for i in order) + ranked.entries[n_topk:]
-    return RankedList(entries, OrderingKind.DESCENDING_FITNESS)
+    rows = ranked.rows.copy()
+    rows[:order.size] = ranked.rows[order]
+    return RankedList(ranked.database, rows)
 
 
 def rerank_spectral(
     query: ScanRecord,
-    database: Database,
     ranked: RankedList,
     params: RerankParams,
     workers: int = 1,
 ) -> RankedList:
     """Re-rank the top-k prefix by descending spectral fitness s*."""
-    if len(ranked) == 0:
-        raise ValueError("ranked list must be non-empty")
-    scans = database.scans(ranked.ids[:params.n_topk])
+    scans = ranked.scans(params.n_topk)
     scores, _ = score_candidates(query, scans, params.spectral, workers=workers)
-    return _reorder_prefix(ranked, scores, params.n_topk)
+    return _reorder_prefix(ranked, scores)
 
 
 def _rir_fitness(query: ScanRecord, cand: ScanRecord, params: RerankParams, ordinal: int) -> float:
@@ -86,7 +83,6 @@ def _rir_fitness(query: ScanRecord, cand: ScanRecord, params: RerankParams, ordi
 
 def rerank_rir(
     query: ScanRecord,
-    database: Database,
     ranked: RankedList,
     params: RerankParams,
     workers: int = 1,
@@ -96,9 +92,7 @@ def rerank_rir(
     Each candidate registers with a seed derived from its ordinal, so the
     result is independent of scheduling.
     """
-    if len(ranked) == 0:
-        raise ValueError("ranked list must be non-empty")
-    scans = database.scans(ranked.ids[:params.n_topk])
+    scans = ranked.scans(params.n_topk)
     if workers > 1 and len(scans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fitness = list(pool.map(
@@ -106,35 +100,33 @@ def rerank_rir(
             ))
     else:
         fitness = [_rir_fitness(query, cand, params, i) for i, cand in enumerate(scans)]
-    return _reorder_prefix(ranked, np.asarray(fitness), params.n_topk)
+    return _reorder_prefix(ranked, np.asarray(fitness))
 
 
 def _expansion(
-    index: Database, descriptor: np.ndarray, ranked: RankedList, n_qe: int
+    descriptor: np.ndarray, ranked: RankedList, n_qe: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The query descriptor and the descriptors of its first n_qe candidates."""
     g = np.asarray(descriptor, dtype=np.float64).ravel()
-    if g.shape[0] != index.dim:
-        raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
+    if g.shape[0] != ranked.database.dim:
+        raise DimMismatchError(f"query dim {g.shape[0]} != index dim {ranked.database.dim}")
     if not 0 <= n_qe <= len(ranked):
         raise ValueError(f"n_qe={n_qe} must lie in [0, {len(ranked)}], the ranked list length")
-    return g, index.descriptors[[index.rows[i] for i in ranked.ids[:n_qe]]]
+    return g, ranked.database.descriptors[ranked.rows[:n_qe]]
 
 
 def rerank_average_qe(
-    index: Database,
     descriptor: np.ndarray,
     ranked: RankedList,
     n_qe: int,
     k: int,
 ) -> RankedList:
     """Mean-aggregate the query with its first n_qe candidates, re-retrieve."""
-    g, expansion = _expansion(index, descriptor, ranked, n_qe)
-    return query_topk(index, np.mean(np.vstack([g, expansion]), axis=0), k)
+    g, expansion = _expansion(descriptor, ranked, n_qe)
+    return query_topk(ranked.database, np.mean(np.vstack([g, expansion]), axis=0), k)
 
 
 def rerank_alpha_qe(
-    index: Database,
     descriptor: np.ndarray,
     ranked: RankedList,
     n_qe: int,
@@ -150,7 +142,7 @@ def rerank_alpha_qe(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    g, expansion = _expansion(index, descriptor, ranked, n_qe)
+    g, expansion = _expansion(descriptor, ranked, n_qe)
     gn = np.linalg.norm(g)
     if gn == 0.0:
         raise ZeroVectorError("query descriptor has zero norm")
@@ -166,4 +158,4 @@ def rerank_alpha_qe(
     total = np.linalg.norm(acc)
     if total == 0.0:
         raise ZeroVectorError("expanded query collapsed to the zero vector")
-    return query_topk(index, acc / total, k, metric="cosine")
+    return query_topk(ranked.database, acc / total, k, metric="cosine")

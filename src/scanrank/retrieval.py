@@ -12,7 +12,7 @@ from .errors import (
     EmptyDatabaseError,
     UnresolvedCandidateError,
 )
-from .geometry import OrderingKind, RankedList, ScanRecord
+from .geometry import ScanRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,14 +20,12 @@ class Database:
     """Database scans in manifest order, indexed once per run.
 
     Row i of `records`, `ids`, `descriptors` (N, d) and `locations` (N, 3)
-    describes one scan, and `rows` maps a scan id to its row. Both arrays
-    are float64 and read-only. Clouds and features stay in their records:
-    stacking them would copy every scan.
+    describes one scan. Both arrays are float64 and read-only. Clouds and
+    features stay in their records: stacking them would copy every scan.
     """
 
     records: tuple[ScanRecord, ...]
     ids: tuple[str, ...]
-    rows: dict[str, int]
     descriptors: np.ndarray
     locations: np.ndarray
 
@@ -38,13 +36,6 @@ class Database:
     def dim(self) -> int:
         return self.descriptors.shape[1]
 
-    def scans(self, ids) -> list[ScanRecord]:
-        """Records of `ids`, in the given order."""
-        missing = [i for i in ids if i not in self.rows]
-        if missing:
-            raise UnresolvedCandidateError(f"no scans provided for ranked ids {missing}")
-        return [self.records[self.rows[i]] for i in ids]
-
     def distances_to(self, location) -> np.ndarray:
         """Geo distance in meters from `location` to every scan, in row
         order; bitwise equal to `geo_distance` row by row."""
@@ -52,6 +43,52 @@ class Database:
         # one 3-term dot per row, summed in the order np.linalg.norm uses
         # for one vector; norm(axis=1) and einsum differ in the last bit
         return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class RankedList:
+    """A ranking over `database`: its rows, best first.
+
+    `rows` is a read-only int64 array of distinct rows in
+    [0, len(database)); rows out of range raise `UnresolvedCandidateError`.
+    A re-ranked list is only sorted over its re-scored prefix; rows past
+    the prefix keep their original order.
+    """
+
+    database: Database
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows)  # a copy: the caller's array stays its own
+        if rows.ndim != 1 or rows.size == 0:
+            raise ValueError(f"ranked list must be a non-empty 1-D array, got shape {rows.shape}")
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"ranked rows must be integers, got {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
+        n = len(self.database)
+        if rows.min() < 0 or rows.max() >= n:
+            bad = rows[(rows < 0) | (rows >= n)]
+            raise UnresolvedCandidateError(f"ranked rows {bad.tolist()} outside the {n}-scan database")
+        seen = np.zeros(n, dtype=bool)
+        seen[rows] = True
+        if np.count_nonzero(seen) != rows.size:
+            raise ValueError("rows must be unique within a ranked list")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Scan ids in ranked order."""
+        ids = self.database.ids
+        return tuple(ids[i] for i in self.rows.tolist())
+
+    def scans(self, n: int) -> list[ScanRecord]:
+        """Records of the first n rows, in ranked order."""
+        records = self.database.records
+        return [records[i] for i in self.rows[:n].tolist()]
 
 
 def build_index(database: list[ScanRecord]) -> Database:
@@ -62,14 +99,13 @@ def build_index(database: list[ScanRecord]) -> Database:
     if len(dims) > 1:
         raise DimMismatchError(f"mixed descriptor dims in database: {sorted(dims)}")
     ids = tuple(r.id for r in database)
-    rows = {scan_id: row for row, scan_id in enumerate(ids)}
-    if len(rows) != len(ids):
+    if len(set(ids)) != len(ids):
         raise DuplicateIdError("database ids must be unique")
     descriptors = np.stack([r.global_descriptor for r in database]).astype(np.float64)
     locations = np.stack([r.geo_location for r in database]).astype(np.float64)
     descriptors.setflags(write=False)
     locations.setflags(write=False)
-    return Database(tuple(database), ids, rows, descriptors, locations)
+    return Database(tuple(database), ids, descriptors, locations)
 
 
 def query_topk(
@@ -97,8 +133,4 @@ def query_topk(
         distances = 1.0 - (index.descriptors @ g) / norms
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    order = np.argsort(distances, kind="stable")[: min(k, len(index.ids))]
-    return RankedList(
-        tuple((index.ids[i], float(distances[i])) for i in order),
-        OrderingKind.ASCENDING_DISTANCE,
-    )
+    return RankedList(index, np.argsort(distances, kind="stable")[:k])

@@ -301,13 +301,3 @@ def score_candidates(
         m_stack = np.concatenate(parts)
     _, lam, _, _ = _power_iteration_batch(m_stack, params.tol, params.max_iters)
     return lam, n
-
-
-def score_candidate(
-    query: ScanRecord,
-    candidate: ScanRecord,
-    params: SpectralParams = SpectralParams(),
-) -> tuple[float, int]:
-    """Fitness score of a single candidate: sample -> match -> M -> s*."""
-    scores, n = score_candidates(query, [candidate], params)
-    return float(scores[0]), n

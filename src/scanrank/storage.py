@@ -114,14 +114,6 @@ class DatasetManifest:
     database: tuple[tuple[str, Path], ...]
     queries: tuple[tuple[str, Path], ...]
 
-    @property
-    def database_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.database)
-
-    @property
-    def query_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.queries)
-
 
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)

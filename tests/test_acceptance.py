@@ -23,7 +23,7 @@ from scanrank.metrics import (
 )
 from scanrank.pipeline import RunConfig, process_queries, run_bench
 from scanrank.rerank import Strategy
-from scanrank.spectral import build_compatibility_matrix, power_iterate, score_candidate
+from scanrank.spectral import build_compatibility_matrix, power_iterate, score_candidates
 from scanrank.geometry import RigidTransform, random_rotation
 from scanrank.storage import summary_line
 from scanrank.synthgen import WorldConfig, export_world, generate_world
@@ -91,10 +91,10 @@ def test_criterion_2_rigid_invariance():
         cloud = rng.random((n, 3)) * 20
         feats = rng.standard_normal((n, 8))
         query = make_scan("q", cloud, features=feats, descriptor=np.zeros(4))
-        s_self, n_used = score_candidate(query, query)
+        (s_self,), n_used = score_candidates(query, [query])
         transform = RigidTransform(random_rotation(rng), rng.standard_normal(3) * 10)
         moved = make_scan("m", transform.apply(cloud), features=feats, descriptor=np.zeros(4))
-        s_moved, _ = score_candidate(query, moved)
+        (s_moved,), _ = score_candidates(query, [moved])
         worst = max(worst, abs(s_moved - s_self) / (n_used - 1))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-5 and elapsed < 5.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scanrank.geometry import (
-    RankedList,
     RigidTransform,
     geo_distance,
     quantize_pose_f32,
@@ -146,14 +145,3 @@ class TestScanRecord:
     def test_rejects_nonfinite_geo_location(self, bad):
         with pytest.raises(ValueError, match="geo_location must be finite"):
             make_scan("a", [[0.0, 0.0, 0.0]], geo=np.array([0.0, bad, 0.0]))
-
-
-class TestRankedList:
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError, match="unique"):
-            RankedList((("a", 0.1), ("a", 0.2)))
-
-    def test_top_ids(self):
-        rl = RankedList((("a", 0.1), ("b", 0.2)))
-        assert rl.ids[:1] == ("a",)
-        assert len(rl) == 2

@@ -73,7 +73,7 @@ class TestDistances:
                 loop = {r.id for r, d in zip(world.database, expected) if d <= radius}
                 assert ground_truth_positives(query, database, radius) == loop
                 assert outcome.positives[radius] == loop
-            top1 = database.rows[outcome.ranked_ids_pre[0]]
+            top1 = database.ids.index(outcome.ranked_ids_pre[0])
             assert outcome.top1_distance_pre == expected[top1]
 
 

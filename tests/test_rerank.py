@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scanrank.errors import UnresolvedCandidateError, ZeroVectorError
-from scanrank.geometry import OrderingKind, RankedList
+from scanrank.matching import match_features
+from scanrank.registration import ransac_register
 from scanrank.rerank import (
     RerankParams,
     rerank_alpha_qe,
@@ -10,7 +11,7 @@ from scanrank.rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from scanrank.retrieval import build_index, query_topk
+from scanrank.retrieval import RankedList, build_index, query_topk
 from scanrank.spectral import SpectralParams
 from scanrank.synthgen import WorldConfig, generate_world
 
@@ -29,23 +30,27 @@ def feature_world(rng, n_candidates=6, n_points=40, dim=6):
             f"c{i}", rng.random((n_points, 3)) * 20,
             features=rng.standard_normal((n_points, dim)), descriptor=np.zeros(4),
         ))
-    ranked = RankedList(tuple((c.id, float(i)) for i, c in enumerate(cands)))
-    return query, build_index(cands), ranked
+    return query, RankedList(build_index(cands), np.arange(len(cands)))
+
+
+def reversed_list(ranked):
+    """The same candidates with the copy of the query last."""
+    return RankedList(ranked.database, ranked.rows[::-1])
 
 
 class TestRerankSpectral:
     def test_n_topk_1_keeps_order(self, rng):
-        query, db, ranked = feature_world(rng)
-        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=1))
-        assert out.ids == ranked.ids
+        query, ranked = feature_world(rng)
+        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=1))
+        assert out.database is ranked.database
+        assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_promotes_geometrically_consistent_candidate(self, rng):
-        query, db, ranked = feature_world(rng)
+        query, ranked = feature_world(rng)
         # descriptor order put the copy last; spectral fitness pulls it to 1
-        reversed_ranked = RankedList(tuple(reversed(ranked.entries)))
-        out = rerank_spectral(query, db, reversed_ranked, RerankParams(n_topk=6))
+        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=6))
+        assert out.rows[0] == 0
         assert out.ids[0] == "c0"
-        assert out.ordering_kind is OrderingKind.DESCENDING_FITNESS
 
     def test_identical_copies_keep_stable_order(self, rng):
         cloud = rng.random((30, 3)) * 10
@@ -53,62 +58,69 @@ class TestRerankSpectral:
         query = make_scan("q", cloud, features=feats, descriptor=np.zeros(4))
         cands = [make_scan(f"c{i}", cloud, features=feats, descriptor=np.zeros(4))
                  for i in range(4)]
-        ranked = RankedList(tuple((c.id, float(i)) for i, c in enumerate(cands)))
-        out = rerank_spectral(query, build_index(cands), ranked, RerankParams(n_topk=4))
-        assert out.ids == ranked.ids  # exact score ties keep input order
+        ranked = RankedList(build_index(cands), [2, 0, 3, 1])
+        out = rerank_spectral(query, ranked, RerankParams(n_topk=4))
+        assert out.rows.tolist() == [2, 0, 3, 1]  # exact score ties keep input order
 
     def test_tail_beyond_n_topk_untouched(self, rng):
-        query, db, ranked = feature_world(rng)
-        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=3))
-        assert out.entries[3:] == ranked.entries[3:]
+        query, ranked = feature_world(rng)
+        reversed_ranked = reversed_list(ranked)
+        out = rerank_spectral(query, reversed_ranked, RerankParams(n_topk=3))
+        assert out.rows[3:].tolist() == reversed_ranked.rows[3:].tolist() == [2, 1, 0]
+        assert sorted(out.rows[:3].tolist()) == [3, 4, 5]
 
     def test_permutation_of_input_ids(self, rng):
-        query, db, ranked = feature_world(rng)
-        out = rerank_spectral(query, db, ranked, RerankParams(n_topk=6))
+        query, ranked = feature_world(rng)
+        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=6))
+        assert sorted(out.rows.tolist()) == list(range(6))
         assert sorted(out.ids) == sorted(ranked.ids)
 
     def test_unresolved_candidate(self, rng):
-        query, db, ranked = feature_world(rng)
-        partial = build_index(list(db.records[:-1]))
+        # a list cannot name rows its database does not have
+        _, ranked = feature_world(rng)
+        partial = build_index(list(ranked.database.records[:-1]))
         with pytest.raises(UnresolvedCandidateError):
-            rerank_spectral(query, partial, ranked, RerankParams(n_topk=6))
+            RankedList(partial, ranked.rows)
 
     def test_workers_do_not_change_result(self, rng):
-        query, db, ranked = feature_world(rng, n_candidates=9)
+        query, ranked = feature_world(rng, n_candidates=9)
         params = RerankParams(n_topk=9)
-        base = rerank_spectral(query, db, ranked, params, workers=1)
+        base = rerank_spectral(query, ranked, params, workers=1)
         for workers in (2, 4):
-            assert rerank_spectral(query, db, ranked, params, workers=workers).entries \
-                == base.entries
+            out = rerank_spectral(query, ranked, params, workers=workers)
+            assert np.array_equal(out.rows, base.rows)
 
 
 class TestRerankRir:
     def test_n_topk_1_keeps_order(self, rng):
-        query, db, ranked = feature_world(rng)
-        out = rerank_rir(query, db, ranked, RerankParams(n_topk=1))
-        assert out.ids == ranked.ids
+        query, ranked = feature_world(rng)
+        out = rerank_rir(query, reversed_list(ranked), RerankParams(n_topk=1))
+        assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_perfect_copy_beats_random_geometry(self, rng):
-        query, db, ranked = feature_world(rng)
-        reversed_ranked = RankedList(tuple(reversed(ranked.entries)))
-        out = rerank_rir(query, db, reversed_ranked,
-                         RerankParams(n_topk=6))
+        query, ranked = feature_world(rng)
+        params = RerankParams(n_topk=6)
+        out = rerank_rir(query, reversed_list(ranked), params)
+        assert out.rows[0] == 0
         assert out.ids[0] == "c0"
-        assert dict(out.entries)["c0"] == 1.0  # RIR of an exact copy
+        copy = ranked.database.records[0]
+        corrs = match_features(query, copy, params.spectral.n_max, params.spectral.mutual)
+        assert ransac_register(corrs, params.ransac).inlier_ratio == 1.0  # RIR of an exact copy
 
     def test_too_few_correspondences_gets_zero_fitness(self, rng):
-        query, db, ranked = feature_world(rng)
+        # 2 corrs < minimum of 3: every fitness is 0, so the stable sort
+        # keeps the input order even with the exact copy last
+        query, ranked = feature_world(rng)
         params = RerankParams(n_topk=6, spectral=SpectralParams(n_max=2))
-        out = rerank_rir(query, db, ranked, params)
-        assert len(out) == len(ranked)
-        assert all(s == 0.0 for _, s in out.entries[:6])  # 2 corrs < minimum of 3
+        out = rerank_rir(query, reversed_list(ranked), params)
+        assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_scheduling_independence(self, rng):
-        query, db, ranked = feature_world(rng, n_candidates=8)
+        query, ranked = feature_world(rng, n_candidates=8)
         params = RerankParams(n_topk=8)
-        base = rerank_rir(query, db, ranked, params, workers=1)
-        again = rerank_rir(query, db, ranked, params, workers=4)
-        assert base.entries == again.entries
+        base = rerank_rir(query, ranked, params, workers=1)
+        again = rerank_rir(query, ranked, params, workers=4)
+        assert np.array_equal(base.rows, again.rows)
 
 
 def descriptor_db(descriptors):
@@ -124,17 +136,20 @@ class TestAverageQe:
         index = build_index(descriptor_db(descs))
         g = rng.standard_normal(4)
         original = query_topk(index, g, k=8)
-        out = rerank_average_qe(index, g, original, n_qe=0, k=8)
-        assert out.entries == original.entries
+        out = rerank_average_qe(g, original, n_qe=0, k=8)
+        assert out.database is index
+        assert np.array_equal(out.rows, original.rows)
 
     def test_hand_arithmetic_two_descriptors(self):
-        index = build_index(descriptor_db([[0.0], [10.0]]))
-        original = query_topk(index, np.array([1.0]), k=2)
-        assert original.ids == ("s0", "s1")
-        out = rerank_average_qe(index, np.array([1.0]), original, n_qe=1, k=2)
-        # expanded query = (1 + 0) / 2 = 0.5; ranking unchanged
-        assert out.ids == ("s0", "s1")
-        np.testing.assert_allclose(out.scores, [0.5, 9.5], atol=1e-12)
+        index = build_index(descriptor_db([[-3.0], [-1.0], [4.0], [1.0]]))
+        original = query_topk(index, np.array([1.0]), k=4)
+        assert original.rows.tolist() == [3, 1, 2, 0]  # distances 0, 2, 3, 4
+        out = rerank_average_qe(np.array([1.0]), original, n_qe=2, k=4)
+        # expanded query = (1 + 1 - 1) / 3 = 1/3: distances 2/3, 4/3, 10/3, 11/3
+        # to s3, s1, s0, s2. The query alone, the sum (1) and the means at
+        # n_qe 1 or 3 (1, 1.25) keep s2 before s0; the candidates' mean
+        # without the query (0) puts s1 first.
+        assert out.rows.tolist() == [3, 1, 0, 2]
 
     def test_fixed_point_when_query_is_db_row(self, rng):
         descs = rng.standard_normal((5, 3))
@@ -142,14 +157,14 @@ class TestAverageQe:
         g = descs[2].copy()
         original = query_topk(index, g, k=5)
         assert original.ids[0] == "s2"
-        out = rerank_average_qe(index, g, original, n_qe=1, k=5)
+        out = rerank_average_qe(g, original, n_qe=1, k=5)
         assert out.ids[0] == "s2"  # mean of the row with itself
 
     def test_n_qe_exceeding_list_rejected(self, rng):
         index = build_index(descriptor_db(rng.standard_normal((3, 2))))
         original = query_topk(index, np.zeros(2), k=3)
         with pytest.raises(ValueError):
-            rerank_average_qe(index, np.zeros(2), original, n_qe=4, k=3)
+            rerank_average_qe(np.zeros(2), original, n_qe=4, k=3)
 
     @pytest.mark.parametrize("rerank", [
         lambda *a: rerank_average_qe(*a, k=3),
@@ -160,7 +175,7 @@ class TestAverageQe:
         index = build_index(descriptor_db(rng.standard_normal((3, 2))))
         original = query_topk(index, np.ones(2), k=3)
         with pytest.raises(ValueError, match="n_qe=-1"):
-            rerank(index, np.ones(2), original, -1)
+            rerank(np.ones(2), original, -1)
 
 
 class TestAlphaQe:
@@ -172,8 +187,8 @@ class TestAlphaQe:
         index = build_index(descriptor_db(descs))
         g = rng.standard_normal(4)
         original = query_topk(index, g, k=8)
-        out = rerank_alpha_qe(index, g, original, n_qe=0, alpha=3.0, k=8)
-        assert out.ids == original.ids
+        out = rerank_alpha_qe(g, original, n_qe=0, alpha=3.0, k=8)
+        assert np.array_equal(out.rows, original.rows)
 
     def test_large_alpha_dominated_by_parallel_candidate(self):
         g = np.array([1.0, 0.0])
@@ -182,7 +197,7 @@ class TestAlphaQe:
         far = np.array([-0.8, 0.6])
         index = build_index(descriptor_db([near, orth, far]))
         original = query_topk(index, g, k=3)
-        out = rerank_alpha_qe(index, g, original, n_qe=3, alpha=50.0, k=3)
+        out = rerank_alpha_qe(g, original, n_qe=3, alpha=50.0, k=3)
         assert out.ids[0] == "s0"
         assert out.ids[-1] in ("s1", "s2")
 
@@ -191,16 +206,16 @@ class TestAlphaQe:
         orth = np.array([0.0, 1.0, 0.0])
         other = np.array([0.9, 0.1, 0.0]) / np.linalg.norm([0.9, 0.1, 0.0])
         index = build_index(descriptor_db([orth, other]))
-        ranked = RankedList((("s0", 0.0),))  # only the orthogonal candidate expands
-        out = rerank_alpha_qe(index, g, ranked, n_qe=1, alpha=3.0, k=2)
+        ranked = RankedList(index, [0])  # only the orthogonal candidate expands
+        out = rerank_alpha_qe(g, ranked, n_qe=1, alpha=3.0, k=2)
         baseline = query_topk(index, g, k=2, metric="cosine")
-        assert out.entries == baseline.entries  # weight 0: expansion = g alone
+        assert np.array_equal(out.rows, baseline.rows)  # weight 0: expansion = g alone
 
     def test_zero_query_vector_rejected(self, rng):
         index = build_index(descriptor_db(rng.standard_normal((3, 2))))
         ranked = query_topk(index, np.ones(2), k=3)
         with pytest.raises(ZeroVectorError):
-            rerank_alpha_qe(index, np.zeros(2), ranked, n_qe=1, alpha=3.0, k=3)
+            rerank_alpha_qe(np.zeros(2), ranked, n_qe=1, alpha=3.0, k=3)
 
 
 class TestAliasedWorldRerank:
@@ -219,7 +234,7 @@ class TestAliasedWorldRerank:
             positives = world.truth[query.id]
             if ranked.ids[0] in positives:
                 continue
-            out = rerank_spectral(query, index, ranked, params)
+            out = rerank_spectral(query, ranked, params)
             assert out.ids[0] in positives
             repaired += 1
         assert repaired >= 2  # the seed produces several aliased failures

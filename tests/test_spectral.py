@@ -11,7 +11,6 @@ from scanrank.spectral import (
     SpectralParams,
     build_compatibility_matrix,
     power_iterate,
-    score_candidate,
     score_candidates,
 )
 
@@ -212,18 +211,18 @@ def identity_feature_scan(scan_id, rng, n=48, dim=6, cloud=None):
 class TestScoreCandidate:
     def test_self_match_scores_n_minus_1(self, rng):
         scan = identity_feature_scan("a", rng)
-        s, n = score_candidate(scan, scan)
+        (s,), n = score_candidates(scan, [scan])
         assert s == pytest.approx(n - 1, abs=1e-6 * (n - 1))
 
     def test_rigid_invariance(self, rng):
         scan = identity_feature_scan("a", rng)
-        s_self, n = score_candidate(scan, scan)
+        (s_self,), n = score_candidates(scan, [scan])
         for _ in range(10):
             T = RigidTransform(random_rotation(rng), rng.standard_normal(3) * 15)
             moved = make_scan("b", T.apply(scan.cloud.astype(np.float64)),
                               features=scan.local_features.astype(np.float64),
                               descriptor=np.zeros(4))
-            s_moved, _ = score_candidate(scan, moved)
+            (s_moved,), _ = score_candidates(scan, [moved])
             assert abs(s_moved - s_self) < 1e-5 * (n - 1)
 
     def test_permuted_features_score_low(self, rng):
@@ -236,14 +235,14 @@ class TestScoreCandidate:
             feats = r.standard_normal((n, 8))
             q = make_scan("q", cloud, features=feats, descriptor=np.zeros(4))
             c = make_scan("c", cloud, features=feats[r.permutation(n)], descriptor=np.zeros(4))
-            s, n_used = score_candidate(q, c)
+            (s,), n_used = score_candidates(q, [c])
             assert s < 0.2 * (n_used - 1)
 
     def test_composition_matches_manual_pipeline(self, rng):
         query = identity_feature_scan("q", rng, n=30)
         cand = identity_feature_scan("c", rng, n=40)
         params = SpectralParams(n_max=25)
-        s, n = score_candidate(query, cand, params)
+        (s,), n = score_candidates(query, [cand], params)
         corrs = match_features(query, cand, params.n_max, params.mutual)
         matrix = build_compatibility_matrix(corrs, params.d_thr)
         expected = power_iterate(matrix, params.tol, params.max_iters)
@@ -257,7 +256,7 @@ class TestBatchedScoring:
         cands = [identity_feature_scan(f"c{i}", rng, n=int(rng.integers(20, 60)))
                  for i in range(12)]
         batch, _ = score_candidates(query, cands)
-        solo = np.array([score_candidate(query, c)[0] for c in cands])
+        solo = np.array([score_candidates(query, [c])[0][0] for c in cands])
         assert np.array_equal(batch, solo)
 
     def test_worker_count_never_changes_scores(self, rng):

@@ -6,7 +6,7 @@ from scanrank.errors import InvalidConfigError, IoError
 from scanrank.matching import match_features
 from scanrank.metrics import ground_truth_positives
 from scanrank.retrieval import build_index, query_topk
-from scanrank.spectral import score_candidate
+from scanrank.spectral import score_candidates
 from scanrank.storage import load_dataset
 from scanrank.synthgen import WorldConfig, export_world, generate_world
 
@@ -95,8 +95,8 @@ class TestGenerateWorld:
             # both distances are pure descriptor noise, so they are comparable
             noise_scale = cfg.descriptor_noise_sigma * np.sqrt(2 * cfg.descriptor_dim)
             assert abs(d_true - d_decoy) < 5 * noise_scale
-            s_true, _ = score_candidate(query, source)
-            s_decoy, _ = score_candidate(query, decoy)
+            (s_true,), _ = score_candidates(query, [source])
+            (s_decoy,), _ = score_candidates(query, [decoy])
             assert s_true > s_decoy
             checked += 1
         assert checked >= 4
