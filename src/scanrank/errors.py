@@ -32,7 +32,7 @@ class InconsistentDimsError(ScanrankError):
 
 
 class IoError(ScanrankError):
-    """Generic read/write failure for results files and exports."""
+    """Read/write failure of a scan archive, results file or export."""
 
 
 # --- matching / spectral ---

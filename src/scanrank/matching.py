@@ -59,23 +59,19 @@ def sample_query_points(scan: ScanRecord, n_max: int) -> np.ndarray:
 
 
 def nn_squared_distances(query_feats: np.ndarray, candidate_feats: np.ndarray) -> np.ndarray:
-    """Squared feature distances (b, n, N) for a stack of b candidate scans.
+    """Squared feature distances (n, N) between n query and N candidate features.
 
-    Computed as |q|^2 + |c|^2 - 2 q.c with one GEMM per candidate; entries
-    may dip a hair below zero. Each candidate's rows are bitwise independent
-    of which other candidates share the stack, which the parallel re-ranking
-    path relies on. One GEMM over the flattened stack would be large enough
-    for a threaded BLAS to wake its worker threads, whose spin-wait after
-    the call slows every numpy operation that follows on a loaded host.
+    Computed as |q|^2 + |c|^2 - 2 q.c; entries may dip a hair below zero.
+    One GEMM per call, one candidate at a time: a GEMM over many candidates
+    was large enough to wake a threaded BLAS's worker threads, whose
+    spin-wait slowed every numpy operation after it on a loaded host.
     """
     q = np.ascontiguousarray(query_feats, dtype=np.float64)
     c = np.ascontiguousarray(candidate_feats, dtype=np.float64)
-    d2 = np.empty((c.shape[0], q.shape[0], c.shape[1]))
-    for cand, out in zip(c, d2):
-        np.matmul(q, cand.T, out=out)
+    d2 = q @ c.T
     d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", q, q)[None, :, None]
-    d2 += np.einsum("bij,bij->bi", c, c)[:, None, :]
+    d2 += np.einsum("ij,ij->i", q, q)[:, None]
+    d2 += np.einsum("ij,ij->i", c, c)[None, :]
     return d2
 
 
@@ -101,7 +97,7 @@ def match_features(
         raise EmptyScanError("candidate scan has no points")
     sampled = sample_query_points(query, n_max)
     qf = query.local_features[sampled].astype(np.float64)
-    d2 = nn_squared_distances(qf, candidate.local_features[None].astype(np.float64))[0]
+    d2 = nn_squared_distances(qf, candidate.local_features)
     nn = d2.argmin(axis=1)
 
     keep = np.ones(sampled.shape[0], dtype=bool)

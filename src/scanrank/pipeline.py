@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -225,28 +225,14 @@ def build_report(
         "threads": cfg.workers(),
     } if outcomes else {}
 
-    config_record = {
-        "manifest": str(cfg.manifest),
-        "strategy": cfg.strategy,
-        "n_topk": cfg.n_topk,
-        "n_qe": cfg.n_qe,
-        "alpha": cfg.alpha,
-        "radii": list(cfg.radii),
-        "recall_ks": list(cfg.recall_ks),
-        "seed": cfg.seed,
-        "spectral": {
-            "d_thr": cfg.spectral.d_thr,
-            "n_max": cfg.spectral.n_max,
-            "tol": cfg.spectral.tol,
-            "max_iters": cfg.spectral.max_iters,
-            "mutual": cfg.spectral.mutual,
-        },
-        "ransac": {
-            "inlier_threshold": cfg.ransac.inlier_threshold,
-            "max_iterations": cfg.ransac.max_iterations,
-            "confidence": cfg.ransac.confidence,
-        },
-    }
+    # the header leaves out fields that cannot change a result: the thread
+    # count, the output path, the bench grid, and the RANSAC seed, which the
+    # run seed replaces per query
+    config_record = asdict(cfg)
+    for key in ("threads", "out", "bench_n_topk", "bench_strategies"):
+        del config_record[key]
+    del config_record["ransac"]["seed"]
+    config_record["manifest"] = str(cfg.manifest)
     return ResultsReport(
         config=config_record,
         per_query=[_query_record(o, cfg.radii) for o in outcomes],

@@ -2,10 +2,9 @@
 
 The fitness of a candidate is the optimal inter-cluster score of the
 correspondence compatibility graph: s* = v*^T M v* with v* the principal
-eigenvector of M, approximated by power iteration. Scoring many candidates
-of one query is a single batched computation; results are bitwise
-independent of how candidates are grouped, so parallel and sequential
-evaluation always agree.
+eigenvector of M, approximated by power iteration, batched over all
+candidates of one query. A candidate's score is bitwise independent of the
+batch it shares.
 """
 
 from __future__ import annotations
@@ -228,24 +227,6 @@ def power_iterate(
     )
 
 
-def _matched_points(query_feats: np.ndarray, candidates: list[ScanRecord]) -> np.ndarray:
-    """Nearest-feature candidate point (b, n, 3) for every sampled query point.
-
-    Candidates are stacked in groups of equal point count; each row is
-    bitwise identical to matching the candidate alone.
-    """
-    y = np.empty((len(candidates), query_feats.shape[0], 3))
-    groups: dict[int, list[int]] = {}
-    for pos, cand in enumerate(candidates):
-        groups.setdefault(cand.num_points, []).append(pos)
-    for positions in groups.values():
-        feats = np.stack([candidates[p].local_features for p in positions]).astype(np.float64)
-        pts = np.stack([candidates[p].cloud for p in positions]).astype(np.float64)
-        nn = nn_squared_distances(query_feats, feats).argmin(axis=2)
-        y[positions] = np.take_along_axis(pts, nn[:, :, None], axis=1)
-    return y
-
-
 def score_candidates(
     query: ScanRecord,
     candidates: list[ScanRecord],
@@ -288,8 +269,10 @@ def score_candidates(
     # Only the compatibility step is split across threads: it is a few large
     # numpy operations that release the GIL. Matching (one small GEMM per
     # candidate) and the power iteration (a loop of small operations) hold
-    # the GIL most of the time, so they run once, here, over the whole stack.
-    y = _matched_points(query_feats, candidates)
+    # the GIL most of the time, so they run here, on the calling thread.
+    y = np.empty((len(candidates), n, 3))
+    for out, cand in zip(y, candidates):
+        out[:] = cand.cloud[nn_squared_distances(query_feats, cand.local_features).argmin(axis=1)]
     workers = min(max(1, workers), len(candidates))
     if workers == 1:
         m_stack = _compat_values(dx, y, params.d_thr)

@@ -64,10 +64,13 @@ def write_scan(path, record: ScanRecord) -> None:
 
 
 def read_scan(path) -> ScanRecord:
+    """Read one archive; a missing or malformed one raises a `ScanrankError`
+    that names the file."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"scan archive not found: {path}")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise MissingFileError(f"scan archive not found: {path}") from exc
     if len(data) < _HEADER.size:
         raise TruncatedFileError(f"{path}: shorter than header")
     magic, n, dp, d, id_len = _HEADER.unpack_from(data, 0)
@@ -78,7 +81,7 @@ def read_scan(path) -> ScanRecord:
     off = _HEADER.size
     if len(data) < off + id_len:
         raise TruncatedFileError(f"{path}: id truncated")
-    scan_id = data[off:off + id_len].decode("utf-8")
+    id_bytes = data[off:off + id_len]
     off += id_len
 
     counts = (n * 3, n * dp, d, 16, 3)
@@ -103,8 +106,11 @@ def read_scan(path) -> ScanRecord:
     desc = take(d, (d,))
     pose = take(16, (4, 4)).astype(np.float64)
     geo = take(3, (3,))
-    gt_pose = RigidTransform.from_matrix(pose, orthonormal_tol=ROTATION_TOL_F32)
-    return ScanRecord(scan_id, cloud, feats, desc, gt_pose, geo)
+    try:
+        gt_pose = RigidTransform.from_matrix(pose, orthonormal_tol=ROTATION_TOL_F32)
+        return ScanRecord(id_bytes.decode("utf-8"), cloud, feats, desc, gt_pose, geo)
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise IoError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,6 @@ def load_dataset(manifest_path) -> tuple[list[ScanRecord], list[ScanRecord]]:
     def load(entries):
         records = []
         for scan_id, p in entries:
-            if not p.exists():
-                raise MissingFileError(f"scan file missing for {scan_id!r}: {p}")
             rec = read_scan(p)
             if rec.id != scan_id:
                 raise IoError(f"{p}: archive id {rec.id!r} != manifest id {scan_id!r}")

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import InvalidConfigError, IoError
 from .geometry import RigidTransform, ScanRecord, rotation_about_z
+from .metrics import ground_truth_positives
+from .retrieval import build_index
 from .storage import write_scan
 
 TRUTH_RADIUS = 5.0           # meters; matches the tighter revisit threshold
@@ -169,7 +171,6 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
     rng_assign.shuffle(uncloned)
 
     queries: list[ScanRecord] = []
-    truth: dict[str, frozenset[str]] = {}
     query_sources: dict[str, str] = {}
     alias_i = plain_i = 0
     for qi in range(cfg.num_queries):
@@ -212,12 +213,8 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
         landmark_ids[record.id] = identities[place][perm].copy()
         query_sources[record.id] = database[place].id
 
-    for q in queries:
-        geo = q.geo_location.astype(np.float64)
-        truth[q.id] = frozenset(
-            r.id for r in database
-            if np.linalg.norm(geo - r.geo_location.astype(np.float64)) <= TRUTH_RADIUS
-        )
+    index = build_index(database)
+    truth = {q.id: ground_truth_positives(q, index, TRUTH_RADIUS) for q in queries}
 
     return SyntheticWorld(database, queries, truth, landmark_ids, query_sources)
 

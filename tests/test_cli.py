@@ -151,6 +151,21 @@ class TestRun:
                      "--out", str(blocker / "sub" / "r.jsonl")])
         assert code == 2
 
+    def test_corrupt_archive_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", num_places=4, num_queries=2,
+                           points_per_scan=16, alias_fraction=0.0)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        archive = tmp_path / "w" / "db0001.sgv"
+        data = bytearray(archive.read_bytes())
+        data[20:21] = b"\xff"  # first byte of the scan id: not UTF-8
+        archive.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["run", "--manifest", str(tmp_path / "w" / "manifest.txt"),
+                     "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scanrank: error: ")
+        assert str(archive) in err
+
     def test_determinism_across_thread_counts(self, small_dataset, tmp_path):
         digests = []
         for threads in ("1", "2"):

@@ -6,6 +6,7 @@ import pytest
 from scanrank.geometry import geo_distance
 from scanrank.metrics import ground_truth_positives, recall_at_k, success_rate
 from scanrank.pipeline import RunConfig, build_report, process_queries, run, run_bench
+from scanrank.registration import RansacParams
 from scanrank.rerank import Strategy
 from scanrank.retrieval import build_index
 from scanrank.spectral import SpectralParams
@@ -99,6 +100,27 @@ class TestReports:
         assert "reranked" not in report.summary
         assert "top1_distance" not in report.summary
         assert "success_rate" in report.summary["baseline"]
+
+    def test_header_is_the_config_that_sets_the_results(self, aliased_world):
+        # threads, out, the bench grid and the RANSAC seed (replaced per
+        # query by one drawn from the run seed) stay out of the header
+        cfg = RunConfig(
+            manifest="world/manifest.txt", strategy="alpha_qe", n_topk=7, n_qe=3, alpha=2.5,
+            radii=(4.0, 9.0), recall_ks=(1, 3), seed=5, threads=2, out="elsewhere.jsonl",
+            spectral=SpectralParams(d_thr=0.4, n_max=64, tol=1e-7, max_iters=50, mutual=True),
+            ransac=RansacParams(inlier_threshold=0.4, max_iterations=200, seed=11,
+                                confidence=0.99),
+            bench_n_topk=(3,), bench_strategies=("none",),
+        )
+        outcomes = process_queries(aliased_world.database, aliased_world.queries, cfg)
+        header = build_report(outcomes, cfg, len(aliased_world.database)).config
+        assert json.loads(json.dumps(header)) == {
+            "manifest": "world/manifest.txt", "strategy": "alpha_qe", "n_topk": 7, "n_qe": 3,
+            "alpha": 2.5, "radii": [4.0, 9.0], "recall_ks": [1, 3], "seed": 5,
+            "spectral": {"d_thr": 0.4, "n_max": 64, "tol": 1e-7, "max_iters": 50,
+                         "mutual": True},
+            "ransac": {"inlier_threshold": 0.4, "max_iterations": 200, "confidence": 0.99},
+        }
 
     def test_summary_recomputable_from_query_records(self, aliased_world, tmp_path):
         cfg = RunConfig(strategy="spectral", threads=1, recall_ks=(1, 5))

@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -103,6 +105,26 @@ class TestScanArchive:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             read_scan(tmp_path / "absent.sgv")
+
+    @pytest.mark.parametrize("corruption", ["nan_point", "non_rotation_pose", "invalid_utf8_id"])
+    def test_corrupt_payload_is_io_error_naming_the_file(self, tmp_path, corruption):
+        path = tmp_path / "c.sgv"
+        write_scan(path, one_point_scan())  # id "s0", 1 point, d' = 4, d = 8
+        data = bytearray(path.read_bytes())
+        points = 20 + 2  # after the header and the id
+        if corruption == "nan_point":
+            data[points:points + 4] = struct.pack("<f", float("nan"))
+            message = "cloud must be finite"
+        elif corruption == "non_rotation_pose":
+            pose = points + 4 * (3 + 4 + 8)
+            data[pose:pose + 4] = struct.pack("<f", 2.0)
+            message = "rotation not orthonormal"
+        else:
+            data[20] = 0xFF
+            message = "can't decode byte 0xff"
+        path.write_bytes(bytes(data))
+        with pytest.raises(IoError, match=f"{re.escape(str(path))}: .*{message}"):
+            read_scan(path)
 
 
 class TestManifest:
