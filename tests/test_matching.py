@@ -142,6 +142,22 @@ class TestMatchFeatures:
 
 
 class TestNnSquaredDistances:
+    @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
+    def test_stack_equals_each_candidate_alone_bitwise(self, rng, b, n, big_n, dim):
+        # candidates sit side by side in one float32 buffer with point counts
+        # big_n .. big_n + 2, most of them off the BLAS kernel width; each
+        # one's distances must not depend on where it sits in that buffer
+        counts = big_n + np.arange(b) % 3
+        stack = rng.standard_normal((counts.sum(), dim)).astype(np.float32)
+        query = feature_scan("q", rng.standard_normal((n, dim)).astype(np.float32))
+        qf = query.local_features.astype(np.float64)
+        for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+            d2 = nn_squared_distances(qf, stack[lo:hi])
+            assert d2.shape == (n, hi - lo)
+            assert np.array_equal(d2, nn_squared_distances(qf, stack[lo:hi].copy()))
+            corrs = match_features(query, feature_scan("c", stack[lo:hi]), n_max=n)
+            assert np.array_equal(corrs.candidate_indices, d2.argmin(axis=1))
+
     def test_matches_direct_differences(self, rng):
         query = rng.standard_normal((7, 5))
         cand = rng.standard_normal((9, 5))

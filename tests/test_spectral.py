@@ -251,8 +251,16 @@ class TestScoreCandidate:
 
 
 class TestBatchedScoring:
+    def test_batch_equals_individual_bitwise(self, rng):
+        query = identity_feature_scan("q", rng)
+        cands = [identity_feature_scan(f"c{i}", rng, n=int(rng.integers(20, 60)))
+                 for i in range(12)]
+        batch, _ = score_candidates(query, cands)
+        solo = np.array([score_candidates(query, [c])[0][0] for c in cands])
+        assert np.array_equal(batch, solo)
+
     @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
-    def test_batch_equals_individual_bitwise(self, rng, b, n, big_n, dim):
+    def test_batch_of_mixed_point_counts_equals_individual_bitwise(self, rng, b, n, big_n, dim):
         # one batch mixes candidate point counts big_n .. big_n + 2, most of
         # them off the BLAS kernel width
         query = identity_feature_scan("q", rng, n=n, dim=dim)
