@@ -16,7 +16,7 @@ from .pipeline import RunConfig, bench_table, run_bench, run_from_manifest
 from .registration import RansacParams
 from .rerank import Strategy
 from .spectral import SpectralParams
-from .storage import load_dataset, read_manifest, read_results
+from .storage import DatasetManifest, load_dataset, read_manifest, read_results
 from .synthgen import WorldConfig, export_world, generate_world
 
 _USAGE_EXIT = 1
@@ -102,11 +102,12 @@ _SPECTRAL_KEYS = {"d_thr", "n_max", "tol", "max_iters", "mutual"}
 _RANSAC_KEYS = {"inlier_threshold", "ransac_iterations", "confidence"}
 
 
-def load_run_config(path, args: argparse.Namespace) -> RunConfig:
+def load_run_config(path, args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest]:
     """Config file values, overridden by flags, validated before any scan loads.
 
-    The manifest is parsed here too, so a malformed one (an unknown role, a
-    duplicate id, a path escaping its directory) is a config error.
+    The manifest is parsed here too, once per run, so a malformed one (an
+    unknown role, a duplicate id, a path escaping its directory) is a config
+    error; the parsed manifest is returned for loading.
     """
     plain: dict = {}
     spectral: dict = {}
@@ -137,10 +138,9 @@ def load_run_config(path, args: argparse.Namespace) -> RunConfig:
     if not cfg.manifest:
         raise InvalidConfigError("a manifest is required (config key 'manifest' or --manifest)")
     try:
-        read_manifest(cfg.manifest)
+        return cfg, read_manifest(cfg.manifest)
     except ScanrankError as exc:
         raise InvalidConfigError(str(exc)) from exc
-    return cfg
 
 
 def _cmd_synth(args) -> int:
@@ -154,8 +154,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_run_config(args.config, args)
-    report = run_from_manifest(cfg)
+    cfg, manifest = load_run_config(args.config, args)
+    report = run_from_manifest(cfg, manifest)
     _print_summary(report.summary)
     if cfg.out:
         print(f"results written to {cfg.out}")
@@ -163,8 +163,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_run_config(args.config, args)
-    database, queries = load_dataset(cfg.manifest)
+    cfg, manifest = load_run_config(args.config, args)
+    database, queries = load_dataset(manifest)
     rows, report = run_bench(database, queries, cfg)
     print(bench_table(rows))
     if cfg.out:

@@ -22,13 +22,22 @@ ROTATION_TOL = 1e-9
 ROTATION_TOL_F32 = 1e-5
 
 
+def _read_only(a: np.ndarray, source) -> np.ndarray:
+    """`a` made read-only; copied first if it is writeable memory of `source`,
+    so a caller's array is never frozen and a read-only one is never copied."""
+    if a.flags.writeable and (a is source or a.base is not None):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def _as_finite_array(x, shape, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
-    return a
+    return _read_only(a, x)
 
 
 @dataclass(frozen=True)
@@ -38,7 +47,9 @@ class RigidTransform:
     The rotation is validated at construction: orthonormal with
     determinant +1 within `orthonormal_tol` (Frobenius). The default
     tolerance assumes double-precision construction; poses lifted from
-    float32 storage use `ROTATION_TOL_F32`.
+    float32 storage use `ROTATION_TOL_F32`, which is also the ceiling: a
+    looser tolerance raises `ValueError`, so every pose satisfies the f32
+    checks and `quantize_pose_f32` need not repeat them.
     """
 
     rotation: Mat3
@@ -46,6 +57,8 @@ class RigidTransform:
     orthonormal_tol: InitVar[float] = ROTATION_TOL
 
     def __post_init__(self, orthonormal_tol: float) -> None:
+        if not orthonormal_tol <= ROTATION_TOL_F32:
+            raise ValueError(f"orthonormal_tol {orthonormal_tol} exceeds {ROTATION_TOL_F32}")
         R = _as_finite_array(self.rotation, (3, 3), "rotation")
         t = _as_finite_array(self.translation, (3,), "translation")
         err = np.linalg.norm(R.T @ R - np.eye(3))
@@ -54,8 +67,6 @@ class RigidTransform:
         det = np.linalg.det(R)
         if abs(det - 1.0) > max(orthonormal_tol, 1e-9) * 10:
             raise ValueError(f"rotation must have det +1, got {det:.12f}")
-        R.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -122,13 +133,15 @@ def quantize_pose_f32(pose: RigidTransform) -> RigidTransform:
     """Round a pose through float32 so it round-trips storage bit-exactly.
 
     The result's values are exactly representable in f32; validation uses
-    the f32 tolerance since quantization perturbs orthonormality.
+    the f32 tolerance since quantization perturbs orthonormality. A pose
+    already exact in f32 is returned itself: it was validated at a tolerance
+    no looser than `ROTATION_TOL_F32` when it was built.
     """
-    return RigidTransform(
-        pose.rotation.astype(np.float32).astype(np.float64),
-        pose.translation.astype(np.float32).astype(np.float64),
-        orthonormal_tol=ROTATION_TOL_F32,
-    )
+    R = pose.rotation.astype(np.float32)
+    t = pose.translation.astype(np.float32)
+    if (R == pose.rotation).all() and (t == pose.translation).all():
+        return pose
+    return RigidTransform(R.astype(np.float64), t.astype(np.float64), ROTATION_TOL_F32)
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,9 @@ class ScanRecord:
     Float payloads are stored as float32, matching the on-disk archive
     format exactly, so write -> read reproduces a record bit-for-bit.
     Numerical routines convert to float64 at their boundaries. The pose
-    is quantized through float32 at construction for the same reason.
+    is quantized through float32 at construction for the same reason, which
+    keeps a pose already exact in float32 (such as one read from an
+    archive) as it is. Writeable input arrays are copied, read-only ones kept.
     """
 
     id: str
@@ -167,14 +182,9 @@ class ScanRecord:
             raise ValueError(f"geo_location must be shape (3,), got {geo.shape}")
         for name, a in (("cloud", cloud), ("local_features", feats),
                         ("global_descriptor", desc), ("geo_location", geo)):
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
-        for a in (cloud, feats, desc, geo):
-            a.setflags(write=False)
-        object.__setattr__(self, "cloud", cloud)
-        object.__setattr__(self, "local_features", feats)
-        object.__setattr__(self, "global_descriptor", desc)
-        object.__setattr__(self, "geo_location", geo)
+            object.__setattr__(self, name, _read_only(a, getattr(self, name)))
         object.__setattr__(self, "gt_pose", quantize_pose_f32(self.gt_pose))
 
     @property

@@ -37,7 +37,7 @@ from .rerank import (
 )
 from .retrieval import RankedList, build_index, query_topk
 from .spectral import SpectralParams
-from .storage import ResultsReport, load_dataset, write_results
+from .storage import DatasetManifest, ResultsReport, load_dataset, write_results
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,9 @@ def run(database: list[ScanRecord], queries: list[ScanRecord], cfg: RunConfig) -
     return report
 
 
-def run_from_manifest(cfg: RunConfig) -> ResultsReport:
-    database, queries = load_dataset(cfg.manifest)
+def run_from_manifest(cfg: RunConfig, manifest: DatasetManifest | None = None) -> ResultsReport:
+    """Load and run `cfg.manifest`, or `manifest` if the caller already parsed it."""
+    database, queries = load_dataset(cfg.manifest if manifest is None else manifest)
     return run(database, queries, cfg)
 
 

@@ -66,9 +66,9 @@ def write_scan(path, record: ScanRecord) -> None:
 def read_scan(path) -> ScanRecord:
     """Read one archive; a missing or malformed one raises a `ScanrankError`
     that names the file."""
-    path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:  # one unbuffered read of the whole file
+            data = f.read()
     except FileNotFoundError as exc:
         raise MissingFileError(f"scan archive not found: {path}") from exc
     if len(data) < _HEADER.size:
@@ -95,17 +95,14 @@ def read_scan(path) -> ScanRecord:
             f"{path}: payload has {len(data) - off} bytes, header declares {total}"
         )
 
-    def take(count, shape):
-        nonlocal off
-        a = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += count * 4
-        return a
-
-    cloud = take(n * 3, (n, 3))
-    feats = take(n * dp, (n, dp))
-    desc = take(d, (d,))
-    pose = take(16, (4, 4)).astype(np.float64)
-    geo = take(3, (3,))
+    # read-only views of `data`, which ScanRecord keeps without copying
+    floats = np.frombuffer(data, dtype="<f4", offset=off)
+    i, j, k = n * 3, n * 3 + n * dp, n * 3 + n * dp + d
+    cloud = floats[:i].reshape(n, 3)
+    feats = floats[i:j].reshape(n, dp)
+    desc = floats[j:k]
+    pose = floats[k:k + 16].reshape(4, 4)
+    geo = floats[k + 16:]
     try:
         gt_pose = RigidTransform.from_matrix(pose, orthonormal_tol=ROTATION_TOL_F32)
         return ScanRecord(id_bytes.decode("utf-8"), cloud, feats, desc, gt_pose, geo)
@@ -115,7 +112,7 @@ def read_scan(path) -> ScanRecord:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Parsed manifest: ordered (id, path) per role, plus declared dims."""
+    """Parsed manifest: ordered (id, path) per role."""
 
     database: tuple[tuple[str, Path], ...]
     queries: tuple[tuple[str, Path], ...]
@@ -154,9 +151,11 @@ def read_manifest(path) -> DatasetManifest:
     return DatasetManifest(tuple(db), tuple(queries))
 
 
-def load_dataset(manifest_path) -> tuple[list[ScanRecord], list[ScanRecord]]:
-    """Load all scans in manifest order; checks ids and dim consistency."""
-    manifest = read_manifest(manifest_path)
+def load_dataset(manifest) -> tuple[list[ScanRecord], list[ScanRecord]]:
+    """Load all scans of a manifest, given as a path or as a parsed
+    `DatasetManifest`, in manifest order; checks ids and dim consistency."""
+    if not isinstance(manifest, DatasetManifest):
+        manifest = read_manifest(manifest)
 
     def load(entries):
         records = []

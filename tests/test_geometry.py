@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from scanrank.geometry import (
+    ROTATION_TOL_F32,
     RigidTransform,
+    ScanRecord,
     geo_distance,
     quantize_pose_f32,
     random_rotation,
@@ -104,6 +106,23 @@ class TestRigidTransformValidation:
         with pytest.raises(ValueError):
             T.rotation[0, 0] = 2.0
 
+    def test_caller_arrays_stay_writeable(self):
+        R, t = np.eye(3), np.zeros(3)
+        T = RigidTransform(R, t)
+        assert R.flags.writeable and t.flags.writeable
+        R[0, 0] = t[0] = 2.0
+        assert T.rotation[0, 0] == 1.0 and T.translation[0] == 0.0
+
+    def test_read_only_input_is_kept_without_copy(self):
+        R = np.eye(3)
+        R.setflags(write=False)
+        assert RigidTransform(R, np.zeros(3)).rotation is R
+
+    @pytest.mark.parametrize("tol", [2 * ROTATION_TOL_F32, 1e-3, np.nan])
+    def test_tolerance_above_the_f32_ceiling_raises(self, tol):
+        with pytest.raises(ValueError, match="orthonormal_tol"):
+            RigidTransform(np.eye(3), np.zeros(3), orthonormal_tol=tol)
+
     def test_matrix4_round_trip(self, rng):
         T = RigidTransform(random_rotation(rng), rng.standard_normal(3))
         back = RigidTransform.from_matrix(T.matrix4())
@@ -115,6 +134,17 @@ class TestRigidTransformValidation:
         again = quantize_pose_f32(T)
         np.testing.assert_array_equal(T.rotation, again.rotation)
         np.testing.assert_array_equal(T.translation, again.translation)
+
+    def test_quantize_returns_an_f32_exact_pose_itself(self):
+        T = RigidTransform(rotation_about_z(np.pi / 2).round(), np.array([0.5, -2.0, 3.25]))
+        assert quantize_pose_f32(T) is T
+
+    def test_quantize_rounds_a_pose_that_is_not_f32_exact(self, rng):
+        T = RigidTransform(random_rotation(rng), rng.standard_normal(3))
+        q = quantize_pose_f32(T)
+        assert q is not T
+        assert q.rotation.tobytes() == T.rotation.astype(np.float32).astype(np.float64).tobytes()
+        assert q.translation.tobytes() == T.translation.astype(np.float32).astype(np.float64).tobytes()
 
 
 class TestScanRecord:
@@ -136,6 +166,23 @@ class TestScanRecord:
         rec = make_scan("a", [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             rec.cloud[0, 0] = 1.0
+
+    @staticmethod
+    def record_of(cloud):
+        return ScanRecord("a", cloud, np.zeros((len(cloud), 4)), np.zeros(8),
+                          RigidTransform.identity(), np.zeros(3))
+
+    def test_caller_cloud_stays_writeable(self):
+        cloud = np.zeros((2, 3), dtype=np.float32)
+        rec = self.record_of(cloud)
+        assert cloud.flags.writeable
+        cloud[0, 0] = 1.0
+        assert rec.cloud[0, 0] == 0.0
+
+    def test_read_only_cloud_is_kept_without_copy(self):
+        cloud = np.zeros((2, 3), dtype=np.float32)
+        cloud.setflags(write=False)
+        assert self.record_of(cloud).cloud is cloud
 
     def test_rejects_nonfinite_features(self):
         with pytest.raises(ValueError, match="finite"):

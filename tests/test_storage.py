@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scanrank.errors import (
     DimMismatchError,
@@ -14,7 +17,13 @@ from scanrank.errors import (
     MissingFileError,
     TruncatedFileError,
 )
-from scanrank.geometry import RigidTransform, rotation_about_z
+from scanrank.geometry import (
+    ROTATION_TOL_F32,
+    RigidTransform,
+    ScanRecord,
+    random_rotation,
+    rotation_about_z,
+)
 from scanrank.storage import (
     ResultsReport,
     load_dataset,
@@ -106,25 +115,90 @@ class TestScanArchive:
         with pytest.raises(MissingFileError):
             read_scan(tmp_path / "absent.sgv")
 
-    @pytest.mark.parametrize("corruption", ["nan_point", "non_rotation_pose", "invalid_utf8_id"])
+    # corruption: (float index into the payload of `one_point_scan`, value,
+    # message); points are floats 0-2, features 3-6, descriptor 7-14, pose
+    # 15-30 (row-major 4x4), geo location 31-33; no index corrupts the id
+    CORRUPTIONS = {
+        "nan_point": (0, float("nan"), "cloud must be finite"),
+        "non_rotation_pose": (15, 2.0, "rotation not orthonormal"),
+        "invalid_utf8_id": (None, None, "can't decode byte 0xff"),
+        "nan_feature": (5, float("nan"), "local_features must be finite"),
+        "inf_descriptor": (14, float("inf"), "global_descriptor must be finite"),
+        "nan_geo": (32, float("nan"), "geo_location must be finite"),
+        "nan_pose_bottom_row": (15 + 12, float("nan"), "matrix must be finite"),
+        "reflection_pose": (15 + 10, -1.0, r"rotation must have det \+1"),
+    }
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
     def test_corrupt_payload_is_io_error_naming_the_file(self, tmp_path, corruption):
         path = tmp_path / "c.sgv"
         write_scan(path, one_point_scan())  # id "s0", 1 point, d' = 4, d = 8
         data = bytearray(path.read_bytes())
-        points = 20 + 2  # after the header and the id
-        if corruption == "nan_point":
-            data[points:points + 4] = struct.pack("<f", float("nan"))
-            message = "cloud must be finite"
-        elif corruption == "non_rotation_pose":
-            pose = points + 4 * (3 + 4 + 8)
-            data[pose:pose + 4] = struct.pack("<f", 2.0)
-            message = "rotation not orthonormal"
+        index, value, message = self.CORRUPTIONS[corruption]
+        if index is None:
+            data[20] = 0xFF  # first byte of the id
         else:
-            data[20] = 0xFF
-            message = "can't decode byte 0xff"
+            at = 20 + 2 + 4 * index  # after the header and the id
+            data[at:at + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(data))
         with pytest.raises(IoError, match=f"{re.escape(str(path))}: .*{message}"):
             read_scan(path)
+
+    def test_read_scan_builds_one_rigid_transform(self, tmp_path, monkeypatch):
+        path = tmp_path / "s0.sgv"
+        write_scan(path, one_point_scan())
+        built = []
+        post_init = RigidTransform.__post_init__
+
+        def counting(self, orthonormal_tol):
+            built.append(orthonormal_tol)
+            post_init(self, orthonormal_tol)
+
+        monkeypatch.setattr(RigidTransform, "__post_init__", counting)
+        read_scan(path)
+        assert built == [ROTATION_TOL_F32]
+
+    def test_archive_views_are_kept_without_copy(self, tmp_path):
+        write_scan(tmp_path / "s0.sgv", one_point_scan())
+        rec = read_scan(tmp_path / "s0.sgv")
+        for a in (rec.cloud, rec.local_features, rec.global_descriptor, rec.geo_location):
+            assert not a.flags.writeable and a.base is not None  # a view, not a copy
+
+
+finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scan_records(draw):
+    n, dp, d = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    rotation = random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    translation = draw(arrays(np.float64, 3, elements=st.floats(-1e6, 1e6)))
+    return ScanRecord(
+        draw(st.text(st.characters(codec="utf-8"), min_size=1, max_size=8)),
+        draw(arrays(np.float32, (n, 3), elements=finite_f32)),
+        draw(arrays(np.float32, (n, dp), elements=finite_f32)),
+        draw(arrays(np.float32, d, elements=finite_f32)),
+        RigidTransform(rotation, translation),
+        draw(arrays(np.float32, 3, elements=finite_f32)),
+    )
+
+
+@pytest.fixture(scope="module")
+def archive_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "r.sgv"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rec=scan_records())
+def test_archive_round_trip_is_bit_exact(archive_path, rec):
+    write_scan(archive_path, rec)
+    back = read_scan(archive_path)
+    assert back.id == rec.id
+    for name in ("cloud", "local_features", "global_descriptor", "geo_location"):
+        a, b = getattr(back, name), getattr(rec, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert back.gt_pose.rotation.tobytes() == rec.gt_pose.rotation.tobytes()
+    assert back.gt_pose.translation.tobytes() == rec.gt_pose.translation.tobytes()
 
 
 class TestManifest:
