@@ -58,19 +58,24 @@ def sample_query_points(scan: ScanRecord, n_max: int) -> np.ndarray:
     return (np.arange(n_max, dtype=np.int64) * n_points) // n_max
 
 
-def nn_squared_distances(query_feats: np.ndarray, candidate_feats: np.ndarray) -> np.ndarray:
+def nn_squared_distances(
+    query_feats: np.ndarray, candidate_feats: np.ndarray, query_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Squared feature distances (n, N) between n query and N candidate features.
 
     Computed as |q|^2 + |c|^2 - 2 q.c; entries may dip a hair below zero.
+    A caller with many candidates per query passes `query_sq` = |q|^2 once.
+    Scaling the query operand by -2 is exact, so the GEMM yields -2 q.c.
     One GEMM per call, one candidate at a time: a GEMM over many candidates
     was large enough to wake a threaded BLAS's worker threads, whose
     spin-wait slowed every numpy operation after it on a loaded host.
     """
     q = np.ascontiguousarray(query_feats, dtype=np.float64)
     c = np.ascontiguousarray(candidate_feats, dtype=np.float64)
-    d2 = q @ c.T
-    d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", q, q)[:, None]
+    if query_sq is None:
+        query_sq = np.einsum("ij,ij->i", q, q)
+    d2 = (q * -2.0) @ c.T
+    d2 += query_sq[:, None]
     d2 += np.einsum("ij,ij->i", c, c)[None, :]
     return d2
 

@@ -3,8 +3,9 @@
 The fitness of a candidate is the optimal inter-cluster score of the
 correspondence compatibility graph: s* = v*^T M v* with v* the principal
 eigenvector of M, approximated by power iteration, batched over all
-candidates of one query. A candidate's score is bitwise independent of the
-batch it shares.
+candidates of one query: a float32 sweep does most steps, a float64 polish
+sets v* and s*, and `iterations` counts both. A candidate's score is
+bitwise independent of the batch it shares.
 """
 
 from __future__ import annotations
@@ -125,61 +126,50 @@ class SpectralResult:
     converged: bool
 
 
-_CHECK_EVERY = 8  # power iterations between convergence checks
+_CHECK_EVERY = 8  # float32 steps per block between normalisations and checks
+_F32_STEP_FLOOR = 1e-6  # above float32 rounding of the step (<= 1.2e-7 measured, n = 96..3000)
 
 
-def _power_iteration_batch(
-    m_stack: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Power iteration over a stack of symmetric matrices (b, n, n).
+def _iterate(m, v, budget, thr, block, step, count_fired, owned):
+    """Power-iterate every slice of m from v until its step drops below thr
+    or it has taken budget[i] steps; returns (v, steps taken, fired).
 
-    Iterates the shifted matrix M + I: same eigenvectors as M, but the
-    shift breaks the +/- eigenvalue symmetry of bipartite-ish compatibility
-    graphs (e.g. isolated correspondence chains), where plain iteration
-    oscillates forever. The Rayleigh quotient is taken on M itself.
-
-    Each slice starts from the uniform vector and is frozen the moment its
-    own stopping rule fires, so a slice's trajectory never depends on which
-    other slices share the batch. M is non-negative and the iterates stay
-    non-negative, so the image (M + I)v is never smaller than v and the
-    normalization never divides by zero.
-
-    The live slices are kept at the front of a working copy of the stack,
-    made when the first slice retires; later retirements move only the live
-    slices past the new end into the freed slots, instead of re-gathering
-    the whole live stack on every iteration.
+    Blocks of `block` steps, each `step(m, v_t, out)`, run between
+    normalisations and checks. The step that fires is counted and returned
+    when `count_fired` is 1 and dropped when 0. Slices retire on their own,
+    so a slice's trajectory never depends on which others share the batch.
+    The live slices sit at the front of a working copy of m (m itself when
+    `owned`); retirements move only the live slices past the new end into
+    the freed slots.
     """
-    b, n = m_stack.shape[0], m_stack.shape[1]
-    v = np.full((b, n, 1), 1.0 / np.sqrt(n))
-    iterations = np.zeros(b, dtype=np.int64)
-    converged = np.zeros(b, dtype=bool)
-    active = np.arange(b)
-    m_act = m_stack
-    owned = False
-    va = v.copy()
-    k = 0
-    while active.size and k < max_iters:
-        # Run a block of iterations, then find where each slice's stopping
-        # rule first fired; iterates past that point are discarded.
-        s = min(_CHECK_EVERY, max_iters - k)
-        trail = np.empty((s + 1,) + va.shape)
+    out = v.copy()
+    taken = np.zeros(m.shape[0], dtype=np.int64)
+    fired = np.zeros(m.shape[0], dtype=bool)
+    active = np.flatnonzero(budget > 0)
+    if active.size < m.shape[0]:
+        m, owned = m[active], True
+    m_act, va, k = m, v[active], 0
+    while active.size:
+        s = min(block, int(budget[active].min()) - k)
+        trail = np.empty((s + 1,) + va.shape, dtype=va.dtype)
         trail[0] = va
         for t in range(s):
-            w = np.matmul(m_act, trail[t], out=trail[t + 1])
-            w += trail[t]
-            w /= np.sqrt(np.einsum("bij,bij->b", w, w))[:, None, None]
-        steps = trail[1:] - trail[:-1]
-        fired = np.sqrt(np.einsum("sbij,sbij->sb", steps, steps)) < tol
+            step(m_act, trail[t], trail[t + 1])
+        trail[1:] /= np.sqrt(np.einsum("sbij,sbij->sb", trail[1:], trail[1:]))[..., None, None]
+        d = trail[1:] - trail[:-1]
+        hit = np.sqrt(np.einsum("sbij,sbij->sb", d, d)) < thr
         k += s
-        done = np.flatnonzero(fired.any(axis=0))
+        conv = hit.any(axis=0)
+        done = np.flatnonzero(conv | (budget[active] <= k))
         if done.size == 0:
             va = trail[s]
             continue
-        first = fired[:, done].argmax(axis=0)
+        # a converged slice stops at its first firing step, a spent one at its last
+        last = np.where(conv[done], hit[:, done].argmax(axis=0) + count_fired, s)
         retired = active[done]
-        v[retired] = trail[first + 1, done]
-        iterations[retired] = k - s + first + 1
-        converged[retired] = True
+        out[retired] = trail[last, done]
+        taken[retired] = k - s + last
+        fired[retired] = conv[done]
         keep = np.ones(active.size, dtype=bool)
         keep[done] = False
         live = np.flatnonzero(keep)
@@ -195,11 +185,53 @@ def _power_iteration_batch(
             owned = True
         active = active[live]
         va = trail[s][live]
-    v[active] = va
-    iterations[active] = k
-    mv = np.matmul(m_stack, v)
-    lam = np.einsum("bij,bij->b", v, mv)
-    return v[..., 0], lam, iterations, converged
+    return out, taken, fired
+
+
+def _shifted_step(m, v, out):
+    np.matmul(m, v, out=out)
+    out += v
+
+
+def _power_iteration_batch(
+    m_stack: np.ndarray, tol: float, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Power iteration over a stack of symmetric matrices (b, n, n).
+
+    Iterates the shifted matrix M + I: same eigenvectors as M, but the
+    shift breaks the +/- eigenvalue symmetry of bipartite-ish compatibility
+    graphs (e.g. isolated correspondence chains), where plain iteration
+    oscillates forever. M is non-negative and so are the iterates, so
+    (M + I)v is never smaller than v and no normalisation divides by zero.
+
+    Two stages, each slice starting from the uniform vector. A float32 sweep
+    is normalised and checked once per block, and stops before the step that
+    drops below max(tol, 1e-6), just above float32 rounding; that step is
+    not counted. A float64 polish continues from the renormalised iterate,
+    stepping Mv + v and checking each step against `tol`, on what is left of
+    `max_iters`. The sweep is only a warm start, at half the memory traffic:
+    the stopping rule, v* and s* = v^T M v all come from float64.
+    `iterations` counts the matvecs of both stages; `converged` means the
+    polish stopped on `tol`.
+    """
+    b, n = m_stack.shape[0], m_stack.shape[1]
+    budget = np.full(b, max_iters, dtype=np.int64)
+    m32 = m_stack.astype(np.float32)
+    m32[:, np.arange(n), np.arange(n)] = 1.0  # the shift, in M's zero diagonal
+    # Entries of M + I lie in [0, 1], so a step grows a unit vector's norm by
+    # at most n and a block of s steps by n^s. Its squared norm must stay
+    # below the float32 maximum, n^(2s) < 3.4e38: s = 8 up to n = 254, 5 at n = 2000.
+    log_max = np.log(np.finfo(np.float32).max)
+    block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
+    start = np.full((b, n, 1), 1.0 / np.sqrt(n), dtype=np.float32)
+    v32, k32, _ = _iterate(m32, start, budget, max(tol, _F32_STEP_FLOOR), block, np.matmul,
+                           count_fired=0, owned=True)
+    v = v32.astype(np.float64)
+    v /= np.sqrt(np.einsum("bij,bij->b", v, v))[:, None, None]
+    v, k64, converged = _iterate(m_stack, v, budget - k32, tol, 1, _shifted_step,
+                                 count_fired=1, owned=False)
+    lam = np.einsum("bij,bij->b", v, np.matmul(m_stack, v))
+    return v[..., 0], lam, k32 + k64, converged
 
 
 def power_iterate(
@@ -270,9 +302,11 @@ def score_candidates(
     # numpy operations that release the GIL. Matching (one small GEMM per
     # candidate) and the power iteration (a loop of small operations) hold
     # the GIL most of the time, so they run here, on the calling thread.
+    query_sq = np.einsum("ij,ij->i", query_feats, query_feats)
     y = np.empty((len(candidates), n, 3))
     for out, cand in zip(y, candidates):
-        out[:] = cand.cloud[nn_squared_distances(query_feats, cand.local_features).argmin(axis=1)]
+        d2 = nn_squared_distances(query_feats, cand.local_features, query_sq)
+        out[:] = cand.cloud[d2.argmin(axis=1)]
     workers = min(max(1, workers), len(candidates))
     if workers == 1:
         m_stack = _compat_values(dx, y, params.d_thr)

@@ -6,6 +6,7 @@ import pytest
 from scanrank.errors import EmptyMatrixError, NonPositiveThresholdError
 from scanrank.geometry import RigidTransform, random_rotation
 from scanrank.matching import CorrespondenceSet, match_features
+from scanrank import spectral
 from scanrank.spectral import (
     CompatibilityMatrix,
     SpectralParams,
@@ -160,6 +161,83 @@ class TestPowerIterate:
         assert not res.converged
         assert res.iterations == 2
         assert res.s_star >= 0.0
+
+
+class TestTwoStagePowerIteration:
+    """The float32 sweep and float64 polish of the batched power iteration."""
+
+    def mixed_stack(self, rng, n=30):
+        # slow and fast convergers, a complete graph and a zero matrix
+        stack = [build_compatibility_matrix(random_corr_set(rng, n, inlier_rate=r), 0.5).values
+                 for r in (0.05, 0.2, 0.4, 0.6, 0.9)]
+        stack += [np.ones((n, n)) - np.eye(n), np.zeros((n, n))]
+        return np.stack(stack)
+
+    @pytest.mark.parametrize("max_iters", range(1, 41))
+    def test_batch_equals_solo_bitwise_under_every_budget(self, rng, max_iters):
+        stack = self.mixed_stack(rng)
+        v, lam, iters, conv = spectral._power_iteration_batch(stack, 1e-6, max_iters)
+        assert np.all(iters <= max_iters)
+        for i, m in enumerate(stack):
+            solo = power_iterate(CompatibilityMatrix(m, 0.5), 1e-6, max_iters)
+            assert np.array_equal(v[i], solo.v_star)
+            assert lam[i] == solo.s_star
+            assert (iters[i], conv[i]) == (solo.iterations, solo.converged)
+
+    def test_small_gap_converges_to_float64_accuracy(self):
+        # two disconnected cliques whose eigenvalues 47 and 46.765 differ by
+        # 0.5%; tol = 1e-9 lies far below the float32 step floor, so the
+        # polish carries the last stretch, in no more iterations than the
+        # float64-only iteration took (3140)
+        m = np.zeros((96, 96))
+        m[:48, :48] = 1.0
+        m[48:, 48:] = 0.995
+        np.fill_diagonal(m, 0.0)
+        res = power_iterate(CompatibilityMatrix(m, 0.5), tol=1e-9, max_iters=20000)
+        lam = np.linalg.eigvalsh(m)[-1]
+        assert res.converged
+        assert res.iterations <= 3140
+        assert abs(res.s_star - lam) <= 1e-9 * lam
+
+    @pytest.mark.parametrize("case", ["all_ones", "two_cliques"])
+    def test_large_n_does_not_overflow_float32(self, case):
+        # n = 2000: each step grows the norm by up to n, the bound the
+        # float32 block length is chosen for. All ones converges on the
+        # first step; two disconnected cliques of 1000 (weights 1 and 0.9)
+        # keep the sweep running for many blocks.
+        n, h = 2000, 1000
+        m = np.ones((n, n))
+        if case == "two_cliques":
+            m[:h, h:] = m[h:, :h] = 0.0
+            m[h:, h:] = 0.9
+        np.fill_diagonal(m, 0.0)
+        res = power_iterate(CompatibilityMatrix(m, 0.5), tol=1e-9, max_iters=1000)
+        assert res.converged
+        assert res.s_star == pytest.approx(n - 1.0 if case == "all_ones" else h - 1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["n_max_1", "zero_matrix"])
+    def test_degenerate_inputs_score_zero_in_one_iteration(self, rng, monkeypatch, case):
+        seen = []
+        batch = spectral._power_iteration_batch
+
+        def spy(m_stack, tol, max_iters):
+            seen.append(batch(m_stack, tol, max_iters))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral, "_power_iteration_batch", spy)
+        query = identity_feature_scan("q", rng)
+        params = SpectralParams(n_max=1) if case == "n_max_1" else SpectralParams()
+        cand = query
+        if case == "zero_matrix":
+            # every pairwise distance is stretched 100x, so no pair is compatible
+            cand = make_scan("c", query.cloud.astype(np.float64) * 100.0,
+                             features=query.local_features, descriptor=np.zeros(4))
+            corrs = match_features(query, cand, params.n_max)
+            assert not build_compatibility_matrix(corrs, params.d_thr).values.any()
+        (s,), _ = score_candidates(query, [cand], params)
+        (_, _, iters, conv), = seen
+        assert s == 0.0
+        assert conv[0] and iters[0] == 1
 
 
 class TestSpectralFitness:
