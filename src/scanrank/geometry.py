@@ -24,9 +24,17 @@ ROTATION_TOL_F32 = 1e-5
 
 def _read_only(a: np.ndarray, source) -> np.ndarray:
     """`a` made read-only; copied first if it is writeable memory of `source`,
-    so a caller's array is never frozen and a read-only one is never copied."""
+    so a caller's array is never frozen and a read-only one is never copied.
+    Code that builds a fresh array for a `RigidTransform` passes it through
+    `frozen` first, so no one copies an array that no caller holds."""
     if a.flags.writeable and (a is source or a.base is not None):
         a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """`a` itself, made read-only: for fresh arrays that no caller holds."""
     a.setflags(write=False)
     return a
 
@@ -98,14 +106,15 @@ class RigidTransform:
         composed; results of double-precision inputs stay at ~1e-15.
         """
         return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
+            frozen(self.rotation @ other.rotation),
+            frozen(self.rotation @ other.translation + self.translation),
             orthonormal_tol=ROTATION_TOL_F32,
         )
 
     def inverse(self) -> "RigidTransform":
-        Rt = self.rotation.T
-        return RigidTransform(Rt, -(Rt @ self.translation), orthonormal_tol=ROTATION_TOL_F32)
+        Rt = self.rotation.T  # a view of the read-only rotation, so read-only too
+        return RigidTransform(Rt, frozen(-(Rt @ self.translation)),
+                              orthonormal_tol=ROTATION_TOL_F32)
 
 
 def geo_distance(a, b) -> float:
@@ -141,7 +150,8 @@ def quantize_pose_f32(pose: RigidTransform) -> RigidTransform:
     t = pose.translation.astype(np.float32)
     if (R == pose.rotation).all() and (t == pose.translation).all():
         return pose
-    return RigidTransform(R.astype(np.float64), t.astype(np.float64), ROTATION_TOL_F32)
+    return RigidTransform(frozen(R.astype(np.float64)), frozen(t.astype(np.float64)),
+                          ROTATION_TOL_F32)
 
 
 @dataclass(frozen=True)

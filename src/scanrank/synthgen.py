@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfigError, IoError
-from .geometry import RigidTransform, ScanRecord, rotation_about_z
+from .geometry import RigidTransform, ScanRecord, frozen, rotation_about_z
 from .metrics import ground_truth_positives
 from .retrieval import build_index
 from .storage import write_scan
@@ -117,10 +117,10 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
     descriptor_table = rng_tables.standard_normal((vocab, cfg.descriptor_dim))
 
     side = int(np.ceil(np.sqrt(cfg.num_places)))
-    grid = np.array([
+    grid = frozen(np.array([
         [(p % side) * cfg.place_spacing, (p // side) * cfg.place_spacing, 0.0]
         for p in range(cfg.num_places)
-    ])
+    ]))
 
     # layouts and identities; decoys clone an original and perturb a few landmarks
     layouts: list[np.ndarray] = []
@@ -149,7 +149,7 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
     for p in range(cfg.num_places):
         rng_p = place_rngs[p]
         yaws[p] = rng_p.uniform(0.0, 2.0 * np.pi)
-        pose = RigidTransform(rotation_about_z(yaws[p]), grid[p])
+        pose = RigidTransform(frozen(rotation_about_z(yaws[p])), grid[p])
         feats = embeddings[identities[p]] + rng_p.standard_normal(
             (n_landmarks, cfg.feature_dim)) * cfg.feature_noise_sigma
         desc = clean_descriptor(identities[p]) + rng_p.standard_normal(
@@ -188,7 +188,8 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
         rng_q = np.random.default_rng(query_seeds[qi])
         offset = rng_q.normal(0.0, cfg.pose_trans_sigma, size=3)
         dyaw = np.radians(rng_q.normal(0.0, cfg.pose_rot_sigma_deg))
-        pose = RigidTransform(rotation_about_z(yaws[place] + dyaw), grid[place] + offset)
+        pose = RigidTransform(frozen(rotation_about_z(yaws[place] + dyaw)),
+                              frozen(grid[place] + offset))
         world_landmarks = database[place].gt_pose.apply(layouts[place])
         local = pose.inverse().apply(world_landmarks)
         perm = rng_q.permutation(n_landmarks)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scanrank import geometry
 from scanrank.geometry import (
     ROTATION_TOL_F32,
     RigidTransform,
@@ -117,6 +118,25 @@ class TestRigidTransformValidation:
         R = np.eye(3)
         R.setflags(write=False)
         assert RigidTransform(R, np.zeros(3)).rotation is R
+
+    def test_derived_poses_keep_their_fresh_arrays_without_copy(self, rng, monkeypatch):
+        # compose, inverse and quantize_pose_f32 build arrays no caller holds
+        # and freeze them, so the validation never copies them
+        kept = []
+        read_only = geometry._read_only
+
+        def spy(a, source):
+            out = read_only(a, source)
+            kept.append(out is a)
+            return out
+
+        T = RigidTransform(random_rotation(rng), rng.standard_normal(3))
+        U = RigidTransform(random_rotation(rng), rng.standard_normal(3))
+        monkeypatch.setattr(geometry, "_read_only", spy)
+        for derived in (T.compose(U), T.inverse(), quantize_pose_f32(T)):
+            assert not derived.rotation.flags.writeable
+            assert not derived.translation.flags.writeable
+        assert len(kept) == 6 and all(kept)
 
     @pytest.mark.parametrize("tol", [2 * ROTATION_TOL_F32, 1e-3, np.nan])
     def test_tolerance_above_the_f32_ceiling_raises(self, tol):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanrank.errors import EmptyMatrixError, NonPositiveThresholdError
 from scanrank.geometry import RigidTransform, random_rotation
@@ -31,6 +33,15 @@ def random_corr_set(rng, n, inlier_rate=0.6, scale=20.0, noise=0.01):
     y = np.where(inlier[:, None], x + rng.standard_normal((n, 3)) * noise,
                  rng.random((n, 3)) * scale)
     return corr_set(x, y)
+
+
+def laid_out(a, layout):
+    """`a` as a C-contiguous, strided ([..., ::2]) or Fortran-ordered array."""
+    if layout == "strided":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return np.asfortranarray(a) if layout == "fortran" else np.ascontiguousarray(a)
 
 
 def top_eigenvalue(matrix: CompatibilityMatrix) -> float:
@@ -71,6 +82,28 @@ class TestBuildCompatibilityMatrix:
             assert np.array_equal(m, m.T)
             assert m.min() >= 0.0 and m.max() <= 1.0
             assert np.all(np.diagonal(m) == 0.0)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    @pytest.mark.parametrize("n", [1, 2, 13, 73, 96, 199, 2000])
+    def test_stack_is_exactly_symmetric_with_zero_diagonal(self, rng, n, layout):
+        # symmetric by construction, not by a mirror, for any memory layout of
+        # the points: clouds 60 m across at up to 1e5 m from the origin, where
+        # d^2 = (sq_i + sq_j) - 2G cancels most of its digits; a third of the
+        # candidate points are outliers, the rest give entries inside (0, 1).
+        # With OpenBLAS, p @ p.T of a strided (199, 3) operand is not exactly
+        # symmetric, so the build must take G from a contiguous copy
+        b = 1 if n == 2000 else 3
+        offset = rng.uniform(-1e5, 1e5, 3)
+        x = offset + rng.uniform(-30.0, 30.0, (n, 3))
+        y = x + rng.standard_normal((b, n, 3)) * 0.2
+        y[:, ::3] = offset + rng.uniform(-30.0, 30.0, y[:, ::3].shape)
+        x, y = laid_out(x, layout), laid_out(y, layout)
+        stack = spectral._compat_values(spectral._pairwise_distances(x, 0.5), y, 0.5)
+        built = [build_compatibility_matrix(corr_set(x, yi), 0.5).values for yi in y]
+        for m in list(stack) + built:
+            assert np.array_equal(m, m.T)
+            assert np.all(np.diagonal(m) == 0.0)
+            assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_empty_set_gives_empty_matrix(self):
         empty = CorrespondenceSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -199,6 +232,21 @@ class TestTwoStagePowerIteration:
         assert res.iterations <= 3140
         assert abs(res.s_star - lam) <= 1e-9 * lam
 
+    @pytest.mark.parametrize("a, b, bound", [(30, 60, 1150), (100, 200, 3800)])
+    def test_complete_bipartite_hands_the_stalled_sweep_over(self, a, b, bound):
+        # K(a, b) has eigenvalues +/- sqrt(ab), so each step shrinks by
+        # (lambda - 1/4) / (lambda + 1/4): 0.988 and 0.996. The float32 step
+        # stalls above its 1e-6 floor, and only the hand-over to the float64
+        # polish converges (1083 and 3606 iterations measured)
+        n = a + b
+        m = np.zeros((n, n))
+        m[:a, a:] = m[a:, :a] = 1.0
+        res = power_iterate(CompatibilityMatrix(m, 0.5), tol=1e-6, max_iters=20000)
+        lam = np.sqrt(a * b)
+        assert res.converged
+        assert res.iterations <= bound
+        assert abs(res.s_star - lam) <= 1e-9 * lam
+
     @pytest.mark.parametrize("case", ["all_ones", "two_cliques"])
     def test_large_n_does_not_overflow_float32(self, case):
         # n = 2000: each step grows the norm by up to n, the bound the
@@ -286,6 +334,39 @@ def identity_feature_scan(scan_id, rng, n=48, dim=6, cloud=None):
     return make_scan(scan_id, cloud, features=feats, descriptor=np.zeros(4))
 
 
+@st.composite
+def corr_sets(draw):
+    n = draw(st.integers(2, 60))
+    rate = draw(st.floats(0.0, 1.0))
+    return random_corr_set(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, rate)
+
+
+def oracle_s_star(corrs):
+    return power_iterate(build_compatibility_matrix(corrs, 0.5), tol=1e-9, max_iters=20000).s_star
+
+
+class TestScoreInvariance:
+    """s* depends only on the pairwise distances within each side of the set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corrs=corr_sets(), seed=st.integers(0, 2**32 - 1), t_norm=st.floats(0.0, 100.0))
+    def test_rigid_motion_of_the_candidate_points(self, corrs, seed, t_norm):
+        r = np.random.default_rng(seed)
+        direction = r.standard_normal(3)
+        T = RigidTransform(random_rotation(r), direction / np.linalg.norm(direction) * t_norm)
+        s = oracle_s_star(corrs)
+        moved = oracle_s_star(corr_set(corrs.query_points, T.apply(corrs.candidate_points)))
+        assert abs(moved - s) <= 1e-9 * max(1.0, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corrs=corr_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_of_the_correspondences(self, corrs, seed):
+        perm = np.random.default_rng(seed).permutation(len(corrs))
+        s = oracle_s_star(corrs)
+        permuted = oracle_s_star(corr_set(corrs.query_points[perm], corrs.candidate_points[perm]))
+        assert abs(permuted - s) <= 1e-9 * max(1.0, s)
+
+
 class TestScoreCandidate:
     def test_self_match_scores_n_minus_1(self, rng):
         scan = identity_feature_scan("a", rng)
@@ -346,6 +427,33 @@ class TestBatchedScoring:
         batch, _ = score_candidates(query, cands)
         solo = np.array([score_candidates(query, [c])[0][0] for c in cands])
         assert np.array_equal(batch, solo)
+
+    def test_stack_equals_build_compatibility_matrix_bitwise(self, rng, monkeypatch):
+        stacks = []
+        compat = spectral._compat_values
+
+        def spy(dx, y, d_thr):
+            stacks.append(compat(dx, y, d_thr))
+            return stacks[-1]
+
+        monkeypatch.setattr(spectral, "_compat_values", spy)
+        params = SpectralParams(n_max=40)
+        query = identity_feature_scan("q", rng)
+        cands = []
+        for i in range(12):
+            # rigidly moved copies with a random share of displaced points
+            T = RigidTransform(random_rotation(rng), rng.standard_normal(3) * 15)
+            moved = T.apply(query.cloud.astype(np.float64))
+            displaced = rng.random(len(moved)) < rng.random()
+            moved[displaced] = rng.random((displaced.sum(), 3)) * 20
+            cands.append(make_scan(f"c{i}", moved, features=query.local_features,
+                                   descriptor=np.zeros(4)))
+        score_candidates(query, cands, params)
+        (stack,) = stacks
+        assert stack.shape == (len(cands), params.n_max, params.n_max)
+        for m, cand in zip(stack, cands):
+            corrs = match_features(query, cand, params.n_max)
+            assert np.array_equal(m, build_compatibility_matrix(corrs, params.d_thr).values)
 
     def test_worker_count_never_changes_scores(self, rng):
         query = identity_feature_scan("q", rng)
