@@ -237,17 +237,18 @@ def rotated_records(draw):
 
 def corruptions_of(rec, rng):
     """Up to two corruptions of `rec`'s archive: (part, index, value) for one
-    float of the payload, or ("id", None, None) for a first id byte that is
-    not UTF-8."""
+    float of the payload, or ("id", None, "empty") and ("id", None, "utf-8")
+    for an empty id and for an id whose first byte is not UTF-8."""
     arrays = {"cloud": rec.cloud, "local_features": rec.local_features,
               "global_descriptor": rec.global_descriptor,
               "pose": rec.gt_pose.matrix4().astype(np.float32),
               "geo_location": rec.geo_location}
     corruptions = []
     for _ in range(rng.integers(0, 3)):
-        kind = rng.choice(["nan", "inf", "-inf", "finite", "finite", "reflect", "skew", "id"])
-        if kind == "id":
-            corruptions.append(("id", None, None))
+        kind = rng.choice(["nan", "inf", "-inf", "finite", "finite", "reflect", "skew",
+                           "utf-8", "empty"])
+        if kind in ("utf-8", "empty"):
+            corruptions.append(("id", None, kind))
         elif kind == "reflect":
             corruptions.append(("pose", 10, -arrays["pose"][2, 2]))
         elif kind == "skew":
@@ -276,22 +277,22 @@ def test_read_scan_agrees_with_the_validating_constructors(archive_path, rec, se
     starts = dict(zip(_PARTS, [0] + ends[:-1]))
     for _ in range(8):
         corruptions = corruptions_of(rec, rng)
-        data = bytearray(written)
+        scan_id, payload = bytearray(written[20:20 + id_len]), bytearray(written[20 + id_len:])
         for part, index, value in corruptions:
             if part == "id":
-                data[20] = 0xFF
+                scan_id[:] = b"" if value == "empty" else b"\xff" + scan_id[1:]
             else:
-                at = 20 + id_len + 4 * (starts[part] + index)
-                data[at:at + 4] = struct.pack("<f", value)
-        archive_path.write_bytes(bytes(data))
+                at = 4 * (starts[part] + index)
+                payload[at:at + 4] = struct.pack("<f", value)
+        header = written[:16] + struct.pack("<I", len(scan_id))
+        archive_path.write_bytes(header + scan_id + payload)
 
         # the oracle: the validating constructors on the same arrays
-        floats = np.frombuffer(bytes(data), dtype="<f4", offset=20 + id_len)
-        cloud, feats, desc, pose, geo = np.split(floats, ends[:-1])
+        cloud, feats, desc, pose, geo = np.split(np.frombuffer(bytes(payload), "<f4"), ends[:-1])
         try:
             gt_pose = RigidTransform.from_matrix(pose.reshape(4, 4), ROTATION_TOL_F32)
-            expected = ScanRecord(bytes(data[20:20 + id_len]).decode("utf-8"),
-                                  cloud.reshape(n, 3), feats.reshape(n, dp), desc, gt_pose, geo)
+            expected = ScanRecord(scan_id.decode("utf-8"), cloud.reshape(n, 3),
+                                  feats.reshape(n, dp), desc, gt_pose, geo)
         except ValueError as exc:
             with pytest.raises(IoError) as info:
                 read_scan(archive_path)
