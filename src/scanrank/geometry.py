@@ -112,8 +112,10 @@ class RigidTransform:
 
     @classmethod
     def from_matrix(cls, m, orthonormal_tol: float = ROTATION_TOL) -> "RigidTransform":
-        """Build from a 4x4 homogeneous matrix."""
-        m, _ = _as_finite_array(m, (4, 4), "matrix")
+        """Build from a 4x4 homogeneous matrix, whose bottom row must be (0, 0, 0, 1)."""
+        m, values = _as_finite_array(m, (4, 4), "matrix")
+        if values[12:] != [0.0, 0.0, 0.0, 1.0]:
+            raise ValueError(f"matrix bottom row must be (0, 0, 0, 1), got {tuple(values[12:])}")
         return cls(m[:3, :3], m[:3, 3], orthonormal_tol)
 
     def matrix4(self) -> NDArray[np.float64]:
@@ -249,10 +251,6 @@ class ScanRecord:
                                global_descriptor=global_descriptor, gt_pose=gt_pose,
                                geo_location=geo_location)
         return record
-
-    @property
-    def num_points(self) -> int:
-        return self.cloud.shape[0]
 
     @property
     def feature_dim(self) -> int:

@@ -1,4 +1,4 @@
-"""Putative point correspondences between two scans via feature nearest neighbours."""
+"""Feature nearest-neighbour correspondences between two scans, and the one mutual-pair rule."""
 
 from __future__ import annotations
 
@@ -80,6 +80,13 @@ def nn_squared_distances(
     return d2
 
 
+def mutual_pairs(d2: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Keep mask (n,): row i of d2 (n, N) keeps (i, nn[i]), nn = d2.argmin(axis=1),
+    when nn[i]'s nearest row is i, ties going to the first. Never empty: d2's first
+    smallest entry in row-major order is the first smallest of its row and column."""
+    return d2.argmin(axis=0)[nn] == np.arange(d2.shape[0])
+
+
 def match_features(
     query: ScanRecord,
     candidate: ScanRecord,
@@ -89,9 +96,9 @@ def match_features(
     """Match sampled query points to candidate points by L2 feature distance.
 
     For each sampled query index the closest candidate feature wins, ties
-    going to the smallest candidate index. With `mutual` set, a pair
-    survives only if the candidate point's nearest sampled query feature
-    is the same query point. Output is ordered by query index.
+    going to the smallest candidate index. With `mutual` set, only the pairs
+    that `mutual_pairs` keeps survive, at least one. Output is ordered by
+    query index.
     """
     if query.feature_dim != candidate.feature_dim:
         raise DimMismatchError(
@@ -104,19 +111,12 @@ def match_features(
     qf = query.local_features[sampled].astype(np.float64)
     d2 = nn_squared_distances(qf, candidate.local_features)
     nn = d2.argmin(axis=1)
-
-    keep = np.ones(sampled.shape[0], dtype=bool)
-    if mutual:
-        reverse = d2.argmin(axis=0)  # per candidate point: closest sampled query
-        keep = reverse[nn] == np.arange(sampled.shape[0])
-
-    rows = np.flatnonzero(keep)
+    rows = np.flatnonzero(mutual_pairs(d2, nn)) if mutual else np.arange(sampled.shape[0])
     cand_idx = nn[rows]
-    dist = np.sqrt(np.maximum(d2[rows, cand_idx], 0.0))
     return CorrespondenceSet(
         query_indices=sampled[rows],
         candidate_indices=cand_idx,
         query_points=query.cloud[sampled[rows]].astype(np.float64),
         candidate_points=candidate.cloud[cand_idx].astype(np.float64),
-        feature_distances=dist,
+        feature_distances=np.sqrt(np.maximum(d2[rows, cand_idx], 0.0)),
     )

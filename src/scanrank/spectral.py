@@ -9,6 +9,10 @@ sigma = 1/4, so (M + sigma*I)v >= sigma*v for the non-negative iterates. A
 sweep whose float32 step stalls (near-bipartite M, where the step ratio
 (lambda - sigma) / (lambda + sigma) is close to 1) hands over to the polish
 early. A candidate's score is bitwise independent of the batch it shares.
+`score_candidates` is the one re-ranking path: with mutual matching, a
+candidate's dropped pairs get zero rows and columns in the shared stack and
+zero start entries. `build_compatibility_matrix`, `CompatibilityMatrix` and
+`power_iterate` are the one-matrix API, and the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import DimMismatchError, EmptyMatrixError, NonPositiveThresholdError
 from .geometry import ScanRecord
-from .matching import CorrespondenceSet, match_features, nn_squared_distances, sample_query_points
+from .matching import CorrespondenceSet, mutual_pairs, nn_squared_distances, sample_query_points
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,6 @@ def build_compatibility_matrix(corrs: CorrespondenceSet, d_thr: float) -> Compat
     """Pairwise spatial-compatibility matrix of a correspondence set."""
     if d_thr <= 0:
         raise NonPositiveThresholdError(f"d_thr must be > 0, got {d_thr}")
-    if len(corrs) == 0:
-        return CompatibilityMatrix(np.zeros((0, 0)), d_thr)
     dx = _pairwise_distances(corrs.query_points, d_thr)
     values = _compat_values(dx, corrs.candidate_points, d_thr)
     return CompatibilityMatrix(values, d_thr)
@@ -130,8 +132,7 @@ class SpectralResult:
     """Principal-eigenpair approximation plus the fitness score."""
 
     v_star: np.ndarray  # (n,), unit L2 norm
-    eigenvalue: float   # Rayleigh quotient at v_star
-    s_star: float       # v*^T M v*
+    s_star: float       # v*^T M v*, the Rayleigh quotient at v_star
     iterations: int
     converged: bool
 
@@ -214,9 +215,10 @@ def _shifted_step(m, v, out):
 
 
 def _power_iteration_batch(
-    m_stack: np.ndarray, tol: float, max_iters: int
+    m_stack: np.ndarray, keep: np.ndarray, tol: float, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Power iteration over a stack of symmetric matrices (b, n, n).
+    """Power iteration over a stack of symmetric matrices (b, n, n), each
+    slice on the pairs (at least one) that its row of `keep` (b, n) marks.
 
     Iterates the shifted matrix M + sigma*I, sigma = 1/4: same eigenvectors
     as M, but the shift breaks the +/- eigenvalue symmetry of bipartite-ish
@@ -230,7 +232,9 @@ def _power_iteration_batch(
     bipartite K(30,60) and K(100,200) take about 4x the steps of a float64
     iteration at sigma = 1 (1083 and 3606 against 271 and 902 at tol = 1e-6).
 
-    Two stages, each slice starting from the uniform vector. A float32 sweep
+    A slice starts from 1/sqrt(n_kept) on its kept pairs and 0 on the rest,
+    whose rows and columns of M must be zero, so their entries stay exactly
+    0: the uniform start when every pair is kept. Two stages. A float32 sweep
     is normalised and checked once per block, and stops before the step that
     drops below max(tol, 1e-6), just above float32 rounding; that step is
     not counted. On near-bipartite M the float32 step can stall above that
@@ -254,7 +258,7 @@ def _power_iteration_batch(
     # block of 8 keeps at least 4^-8 of it, far from underflow.
     log_max = np.log(np.finfo(np.float32).max)
     block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
-    start = np.full((b, n, 1), 1.0 / np.sqrt(n), dtype=np.float32)
+    start = (keep / np.sqrt(keep.sum(axis=1, keepdims=True))).astype(np.float32)[..., None]
     v32, k32, _ = _iterate(m32, start, budget, max(tol, _F32_STEP_FLOOR), block, np.matmul,
                            count_fired=0, owned=True, stall_window=_STALL_WINDOW)
     v = v32.astype(np.float64)
@@ -280,10 +284,10 @@ def power_iterate(
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    v, lam, iters, conv = _power_iteration_batch(matrix.values[None], tol, max_iters)
+    keep = np.ones((1, matrix.n), dtype=bool)
+    v, lam, iters, conv = _power_iteration_batch(matrix.values[None], keep, tol, max_iters)
     return SpectralResult(
         v_star=v[0],
-        eigenvalue=float(lam[0]),
         s_star=float(lam[0]),
         iterations=int(iters[0]),
         converged=bool(conv[0]),
@@ -298,9 +302,11 @@ def score_candidates(
 ) -> tuple[np.ndarray, int]:
     """Spectral fitness of every candidate against one query.
 
-    Returns (scores, n) where n is the correspondence count shared by all
-    candidates. `workers` only controls how the candidate batch is split
-    across threads; any split yields identical scores.
+    Returns (scores, n) where n is the number of sampled query points, each
+    matched to its nearest candidate feature; with `params.mutual` a
+    candidate is scored on the subset of those n pairs that `mutual_pairs`
+    keeps. `workers` only controls how the candidate batch is split across
+    threads; any split yields identical scores.
     """
     for cand in candidates:
         if cand.feature_dim != query.feature_dim:
@@ -313,19 +319,6 @@ def score_candidates(
     if not candidates:
         return np.zeros(0), n
 
-    if params.mutual:
-        # Mutual filtering yields a different correspondence count per
-        # candidate, so score each one through the single-set path.
-        scores = np.empty(len(candidates))
-        for i, cand in enumerate(candidates):
-            corrs = match_features(query, cand, params.n_max, mutual=True)
-            matrix = build_compatibility_matrix(corrs, params.d_thr)
-            if matrix.n == 0:
-                scores[i] = 0.0
-            else:
-                scores[i] = power_iterate(matrix, params.tol, params.max_iters).s_star
-        return scores, n
-
     query_feats = query.local_features[sampled].astype(np.float64)
     dx = _pairwise_distances(query.cloud[sampled], params.d_thr)
 
@@ -335,9 +328,13 @@ def score_candidates(
     # the GIL most of the time, so they run here, on the calling thread.
     query_sq = np.einsum("ij,ij->i", query_feats, query_feats)
     y = np.empty((len(candidates), n, 3))
-    for out, cand in zip(y, candidates):
+    keep = np.ones((len(candidates), n), dtype=bool)
+    for out, mask, cand in zip(y, keep, candidates):
         d2 = nn_squared_distances(query_feats, cand.local_features, query_sq)
-        out[:] = cand.cloud[d2.argmin(axis=1)]
+        nn = d2.argmin(axis=1)
+        out[:] = cand.cloud[nn]
+        if params.mutual:
+            mask[:] = mutual_pairs(d2, nn)
     workers = min(max(1, workers), len(candidates))
     if workers == 1:
         m_stack = _compat_values(dx, y, params.d_thr)
@@ -347,5 +344,7 @@ def score_candidates(
             parts = list(pool.map(lambda lo, hi: _compat_values(dx, y[lo:hi], params.d_thr),
                                   bounds[:-1], bounds[1:]))
         m_stack = np.concatenate(parts)
-    _, lam, _, _ = _power_iteration_batch(m_stack, params.tol, params.max_iters)
+    if params.mutual:  # dropped pairs get zero rows and columns
+        m_stack *= keep[:, :, None] & keep[:, None, :]
+    _, lam, _, _ = _power_iteration_batch(m_stack, keep, params.tol, params.max_iters)
     return lam, n

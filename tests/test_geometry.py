@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,14 @@ class TestScalarRotationCheck:
                 RigidTransform.from_matrix(m)
             else:
                 RigidTransform(R, t)
+
+    @pytest.mark.parametrize("col", range(4))
+    def test_from_matrix_requires_the_homogeneous_bottom_row(self, col):
+        m = np.eye(4)
+        m[3, col] = 5.0
+        got = re.escape(str(tuple(m[3].tolist())))
+        with pytest.raises(ValueError, match=rf"^matrix bottom row must be \(0, 0, 0, 1\), got {got}$"):
+            RigidTransform.from_matrix(m)
 
 
 class TestScanRecord:

@@ -2,11 +2,15 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scanrank.errors import DimMismatchError, EmptyScanError
 from scanrank.matching import (
     CorrespondenceSet,
     match_features,
+    mutual_pairs,
     nn_squared_distances,
     sample_query_points,
 )
@@ -139,6 +143,22 @@ class TestMatchFeatures:
         b = match_features(q, c, n_max=20)
         assert np.array_equal(a.candidate_indices, b.candidate_indices)
         assert np.array_equal(a.feature_distances, b.feature_distances)
+
+
+shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+# small integer d^2 is mostly ties; the first smallest entry in row-major
+# order must survive, and every kept row must pass the brute-force rule
+@settings(max_examples=300, deadline=None)
+@given(d2=arrays(np.int64, shapes, elements=st.integers(0, 3))
+       | arrays(np.float64, shapes, elements=st.floats(-1.0, 1e3)))
+def test_mutual_pairs_is_never_empty(d2):
+    nn = d2.argmin(axis=1)
+    keep = mutual_pairs(d2, nn)
+    assert keep.shape == (d2.shape[0],) and keep.any()
+    assert keep[np.unravel_index(d2.argmin(), d2.shape)[0]]
+    assert keep.tolist() == [int(np.argmin(d2[:, j])) == i for i, j in enumerate(nn)]
 
 
 class TestNnSquaredDistances:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scanrank.errors import EmptyMatrixError, NonPositiveThresholdError
 from scanrank.geometry import RigidTransform, random_rotation
-from scanrank.matching import CorrespondenceSet, match_features
+from scanrank.matching import CorrespondenceSet, match_features, sample_query_points
 from scanrank import spectral
 from scanrank.spectral import (
     CompatibilityMatrix,
@@ -133,19 +133,19 @@ class TestPowerIterate:
     def test_complete_graph_eigenpair(self):
         values = np.ones((4, 4)) - np.eye(4)
         res = power_iterate(CompatibilityMatrix(values, 1.0))
-        assert res.eigenvalue == pytest.approx(3.0, abs=1e-9)
+        assert res.s_star == pytest.approx(3.0, abs=1e-9)
         np.testing.assert_allclose(res.v_star, [0.5] * 4, atol=1e-9)
         assert res.converged
 
     def test_two_node_eigenpair_matches_dense_oracle(self):
         m = CompatibilityMatrix(np.array([[0.0, 0.36], [0.36, 0.0]]), 0.5)
         res = power_iterate(m)
-        assert res.eigenvalue == pytest.approx(top_eigenvalue(m), abs=1e-12)
+        assert res.s_star == pytest.approx(top_eigenvalue(m), abs=1e-12)
         np.testing.assert_allclose(res.v_star, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
     def test_zero_matrix_defined_case(self):
         res = power_iterate(CompatibilityMatrix(np.zeros((3, 3)), 0.5))
-        assert res.eigenvalue == 0.0
+        assert res.s_star == 0.0
         assert res.converged
         assert res.iterations == 1
         np.testing.assert_allclose(res.v_star, np.full(3, 1 / np.sqrt(3)))
@@ -173,7 +173,7 @@ class TestPowerIterate:
             m = build_compatibility_matrix(random_corr_set(rng, int(rng.integers(2, 100))), 0.5)
             res = power_iterate(m, tol=1e-9, max_iters=20000)
             lam = top_eigenvalue(m)
-            assert abs(res.eigenvalue - lam) <= 1e-6 * max(1.0, lam)
+            assert abs(res.s_star - lam) <= 1e-6 * max(1.0, lam)
 
     def test_stops_at_the_first_iteration_that_meets_tol(self, rng):
         # iterations are checked in blocks, so also pin that a run reports
@@ -209,7 +209,8 @@ class TestTwoStagePowerIteration:
     @pytest.mark.parametrize("max_iters", range(1, 41))
     def test_batch_equals_solo_bitwise_under_every_budget(self, rng, max_iters):
         stack = self.mixed_stack(rng)
-        v, lam, iters, conv = spectral._power_iteration_batch(stack, 1e-6, max_iters)
+        keep = np.ones(stack.shape[:2], dtype=bool)
+        v, lam, iters, conv = spectral._power_iteration_batch(stack, keep, 1e-6, max_iters)
         assert np.all(iters <= max_iters)
         for i, m in enumerate(stack):
             solo = power_iterate(CompatibilityMatrix(m, 0.5), 1e-6, max_iters)
@@ -263,19 +264,26 @@ class TestTwoStagePowerIteration:
         assert res.converged
         assert res.s_star == pytest.approx(n - 1.0 if case == "all_ones" else h - 1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("case", ["n_max_1", "zero_matrix"])
+    @pytest.mark.parametrize("case", ["n_max_1", "zero_matrix", "one_mutual_pair"])
     def test_degenerate_inputs_score_zero_in_one_iteration(self, rng, monkeypatch, case):
         seen = []
         batch = spectral._power_iteration_batch
 
-        def spy(m_stack, tol, max_iters):
-            seen.append(batch(m_stack, tol, max_iters))
+        def spy(*args):
+            seen.append(batch(*args))
             return seen[-1]
 
         monkeypatch.setattr(spectral, "_power_iteration_batch", spy)
         query = identity_feature_scan("q", rng)
         params = SpectralParams(n_max=1) if case == "n_max_1" else SpectralParams()
         cand = query
+        if case == "one_mutual_pair":
+            # every sampled query point matches the candidate's one point,
+            # whose nearest query point keeps the only mutual pair
+            params = SpectralParams(mutual=True)
+            cand = make_scan("c", query.cloud[:1], features=query.local_features[5:6] + 0.1,
+                             descriptor=np.zeros(4))
+            assert len(match_features(query, cand, params.n_max, mutual=True)) == 1
         if case == "zero_matrix":
             # every pairwise distance is stretched 100x, so no pair is compatible
             cand = make_scan("c", query.cloud.astype(np.float64) * 100.0,
@@ -464,15 +472,47 @@ class TestBatchedScoring:
             assert np.array_equal(base, again)
 
     def test_mutual_path_matches_manual(self, rng):
+        # bitwise: the plain matrix with the dropped pairs' rows and columns
+        # zeroed, iterated from the keep mask; the mutual set scored alone
+        # iterates the same block, so it agrees up to rounding
         params = SpectralParams(mutual=True, n_max=40)
         query = identity_feature_scan("q", rng)
         cands = [identity_feature_scan(f"c{i}", rng) for i in range(4)]
-        scores, _ = score_candidates(query, cands, params)
+        scores, n = score_candidates(query, cands, params)
         for cand, s in zip(cands, scores):
             corrs = match_features(query, cand, params.n_max, mutual=True)
-            m = build_compatibility_matrix(corrs, params.d_thr)
-            expected = 0.0 if m.n == 0 else power_iterate(m, params.tol, params.max_iters).s_star
-            assert s == expected
+            keep = np.isin(sample_query_points(query, params.n_max), corrs.query_indices)
+            assert n == keep.size > keep.sum() >= 1
+            plain = build_compatibility_matrix(match_features(query, cand, params.n_max),
+                                               params.d_thr).values
+            masked = plain * (keep[:, None] & keep[None, :])
+            v, lam, _, conv = spectral._power_iteration_batch(masked[None], keep[None],
+                                                              params.tol, params.max_iters)
+            assert s == lam[0]
+            assert not v[0, ~keep].any()  # the dropped pairs' entries stay exactly 0
+            alone = build_compatibility_matrix(corrs, params.d_thr)
+            single = power_iterate(alone, params.tol, params.max_iters).s_star
+            assert abs(s - single) <= 1e-9 * max(1.0, single)
+            if conv[0]:
+                top = top_eigenvalue(alone)
+                assert abs(s - top) <= 1e-6 * max(1.0, top)
+
+    @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
+    def test_mutual_batch_of_mixed_point_counts_equals_individual_bitwise(self, rng, b, n, big_n, dim):
+        # candidates share a random share of the query's features, so the
+        # mutual sets range from a few pairs to nearly all of them
+        params = SpectralParams(mutual=True)
+        query = identity_feature_scan("q", rng, n=n, dim=dim)
+        cands = []
+        for i in range(b):
+            cand = identity_feature_scan(f"c{i}", rng, n=big_n + i % 3, dim=dim)
+            shared = rng.random(min(n, big_n)) < rng.random()
+            feats = cand.local_features.copy()
+            feats[:shared.size][shared] = query.local_features[:shared.size][shared]
+            cands.append(make_scan(f"c{i}", cand.cloud, features=feats, descriptor=np.zeros(4)))
+        batch, _ = score_candidates(query, cands, params)
+        solo = np.array([score_candidates(query, [c], params)[0][0] for c in cands])
+        assert np.array_equal(batch, solo)
 
     def test_mutual_path_equals_batched_path_when_nothing_is_dropped(self, rng):
         # candidates share the query's features, so every pair is mutual and

@@ -126,6 +126,7 @@ class TestScanArchive:
         "inf_descriptor": (14, float("inf"), "global_descriptor must be finite"),
         "nan_geo": (32, float("nan"), "geo_location must be finite"),
         "nan_pose_bottom_row": (15 + 12, float("nan"), "matrix must be finite"),
+        "five_in_pose_bottom_row": (15 + 12, 5.0, r"matrix bottom row must be \(0, 0, 0, 1\)"),
         "reflection_pose": (15 + 10, -1.0, r"rotation must have det \+1"),
     }
 
@@ -237,8 +238,9 @@ def rotated_records(draw):
 
 def corruptions_of(rec, rng):
     """Up to two corruptions of `rec`'s archive: (part, index, value) for one
-    float of the payload, or ("id", None, "empty") and ("id", None, "utf-8")
-    for an empty id and for an id whose first byte is not UTF-8."""
+    float of the payload (a "bottom" one puts 5.0 in the pose's bottom row),
+    or ("id", None, "empty") and ("id", None, "utf-8") for an empty id and
+    for an id whose first byte is not UTF-8."""
     arrays = {"cloud": rec.cloud, "local_features": rec.local_features,
               "global_descriptor": rec.global_descriptor,
               "pose": rec.gt_pose.matrix4().astype(np.float32),
@@ -246,11 +248,13 @@ def corruptions_of(rec, rng):
     corruptions = []
     for _ in range(rng.integers(0, 3)):
         kind = rng.choice(["nan", "inf", "-inf", "finite", "finite", "reflect", "skew",
-                           "utf-8", "empty"])
+                           "bottom", "utf-8", "empty"])
         if kind in ("utf-8", "empty"):
             corruptions.append(("id", None, kind))
         elif kind == "reflect":
             corruptions.append(("pose", 10, -arrays["pose"][2, 2]))
+        elif kind == "bottom":
+            corruptions.append(("pose", int(rng.integers(12, 16)), 5.0))
         elif kind == "skew":
             index = int(rng.choice([0, 1, 2, 4, 5, 6, 8, 9, 10]))
             corruptions.append(("pose", index, arrays["pose"].flat[index] + 0.01))
