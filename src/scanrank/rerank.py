@@ -66,7 +66,7 @@ def rerank_spectral(
 ) -> RankedList:
     """Re-rank the top-k prefix by descending spectral fitness s*."""
     scans = ranked.scans(params.n_topk)
-    scores, _ = score_candidates(query, scans, params.spectral, workers=workers)
+    scores, _ = score_candidates(query, scans, params.spectral, workers=workers, order=True)
     return _reorder_prefix(ranked, scores)
 
 

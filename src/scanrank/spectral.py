@@ -8,11 +8,18 @@ sets v* and s*, and `iterations` counts both. Both iterate M + sigma*I with
 sigma = 1/4, so (M + sigma*I)v >= sigma*v for the non-negative iterates. A
 sweep whose float32 step stalls (near-bipartite M, where the step ratio
 (lambda - sigma) / (lambda + sigma) is close to 1) hands over to the polish
-early. A candidate's score is bitwise independent of the batch it shares.
-`score_candidates` is the one re-ranking path: with mutual matching, a
-candidate's dropped pairs get zero rows and columns in the shared stack and
-zero start entries. `build_compatibility_matrix`, `CompatibilityMatrix` and
-`power_iterate` are the one-matrix API, and the oracle of the tests.
+early. By default a candidate's score is bitwise independent of the batch
+it shares. The re-ranker needs only the order of the scores, so it scores
+in order mode (`score_candidates(..., order=True)`): each candidate's
+float32 sweep stops once bounds on lambda_1 from a step it already takes
+prove its rank in the batch. Its scores are then certified lower bounds on
+lambda_1, not s* converged to `tol`, and they depend on which candidates
+share the batch; candidates left unproven after `max_iters` (near and exact
+ties) get the default s*. `score_candidates` is the one re-ranking path:
+with mutual matching, a candidate's dropped pairs get zero rows and columns
+in the shared stack and zero start entries. `build_compatibility_matrix`,
+`CompatibilityMatrix` and `power_iterate` are the one-matrix API, and the
+oracle of the tests.
 """
 
 from __future__ import annotations
@@ -141,9 +148,11 @@ _SHIFT = 0.25  # sigma: power iteration runs on M + sigma*I
 _CHECK_EVERY = 8  # float32 steps per block between normalisations and checks
 _F32_STEP_FLOOR = 1e-6  # above float32 rounding of the step (<= 1.2e-7 measured, n = 96..3000)
 _STALL_WINDOW = 32  # float32 steps within which a live slice's step must halve
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_U_FLOOR = 2.0 ** -100  # iterate entries below it count as 0 in an upper bound
 
 
-def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0):
+def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0, certify=None):
     """Power-iterate every slice of m from v until its step drops below thr
     or it has taken budget[i] steps; returns (v, steps taken, fired).
 
@@ -152,9 +161,13 @@ def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0)
     when `count_fired` is 1 and dropped when 0. With a `stall_window`, a
     slice also retires, unfired, with its last iterate when its step has not
     halved since the check `stall_window` or more steps before; that rule is
-    evaluated only at those sparse checks, not every block. Slices retire on
-    their own and every schedule depends only on the step count, so a
-    slice's trajectory never depends on which others share the batch.
+    evaluated only at those sparse checks, not every block. With a
+    `certify` hook, `certify(active, u, w)` sees the last step w = step(u)
+    of each block before normalisation, for the live slices `active`
+    (indices into the batch), and returns which of them retire, unfired,
+    with that iterate. Without the hook slices retire on their own and every
+    schedule depends only on the step count, so a slice's trajectory never
+    depends on which others share the batch.
     The live slices sit at the front of a working copy of m (m itself when
     `owned`); retirements move only the live slices past the new end into
     the freed slots.
@@ -173,13 +186,14 @@ def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0)
         trail[0] = va
         for t in range(s):
             step(m_act, trail[t], trail[t + 1])
+        certified = certify(active, trail[s - 1], trail[s]) if certify else False
         trail[1:] /= np.sqrt(np.einsum("sbij,sbij->sb", trail[1:], trail[1:]))[..., None, None]
         d = trail[1:] - trail[:-1]
         size = np.sqrt(np.einsum("sbij,sbij->sb", d, d))
         hit = size < thr
         k += s
         conv = hit.any(axis=0)
-        retire = conv | (budget[active] <= k)
+        retire = conv | (budget[active] <= k) | certified
         if stall_window and k >= next_check:
             retire |= size[-1] > 0.5 * ref
             ref, next_check = size[-1], k + stall_window
@@ -215,10 +229,11 @@ def _shifted_step(m, v, out):
 
 
 def _power_iteration_batch(
-    m_stack: np.ndarray, keep: np.ndarray, tol: float, max_iters: int
+    m_stack: np.ndarray, keep: np.ndarray, tol: float, max_iters: int, order: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Power iteration over a stack of symmetric matrices (b, n, n), each
-    slice on the pairs (at least one) that its row of `keep` (b, n) marks.
+    slice on the pairs (at least one) that its row of `keep` (b, n) marks;
+    returns (v, key, iterations, converged), one entry per slice.
 
     Iterates the shifted matrix M + sigma*I, sigma = 1/4: same eigenvectors
     as M, but the shift breaks the +/- eigenvalue symmetry of bipartite-ish
@@ -234,21 +249,17 @@ def _power_iteration_batch(
 
     A slice starts from 1/sqrt(n_kept) on its kept pairs and 0 on the rest,
     whose rows and columns of M must be zero, so their entries stay exactly
-    0: the uniform start when every pair is kept. Two stages. A float32 sweep
-    is normalised and checked once per block, and stops before the step that
-    drops below max(tol, 1e-6), just above float32 rounding; that step is
-    not counted. On near-bipartite M the float32 step can stall above that
-    floor, its rounding noise amplified by a ratio near 1, so the sweep also
-    hands a slice over once its step has not halved within 32 steps. A
-    float64 polish continues from the renormalised iterate, stepping
-    Mv + sigma*v and checking each step against `tol`, on what is left of
-    `max_iters`. The sweep is only a warm start, at half the memory traffic:
-    the stopping rule, v* and s* = v^T M v all come from float64.
-    `iterations` counts the matvecs of both stages; `converged` means the
-    polish stopped on `tol`.
+    0: the uniform start when every pair is kept. By default every slice
+    iterates to `tol` and its key is s* = v^T M v (`_tol_mode`). With
+    `order`, a slice stops once its rank among the slices is proven, and the
+    keys only order the slices (`_order_mode`).
     """
-    b, n = m_stack.shape[0], m_stack.shape[1]
-    budget = np.full(b, max_iters, dtype=np.int64)
+    return (_order_mode if order else _tol_mode)(m_stack, keep, tol, max_iters)
+
+
+def _sweep_operands(m_stack, keep):
+    """The float32 sweep's M + sigma*I, its start vectors and its block length."""
+    n = m_stack.shape[1]
     m32 = m_stack.astype(np.float32)
     m32[:, np.arange(n), np.arange(n)] = _SHIFT  # the shift, in M's zero diagonal
     # Entries of M + sigma*I lie in [0, 1], so a step grows a unit vector's
@@ -259,6 +270,27 @@ def _power_iteration_batch(
     log_max = np.log(np.finfo(np.float32).max)
     block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
     start = (keep / np.sqrt(keep.sum(axis=1, keepdims=True))).astype(np.float32)[..., None]
+    return m32, start, block
+
+
+def _tol_mode(m_stack, keep, tol, max_iters):
+    """Every slice to `tol`, in two stages; key s* = v^T M v.
+
+    A float32 sweep is normalised and checked once per block, and stops
+    before the step that drops below max(tol, 1e-6), just above float32
+    rounding; that step is not counted. On near-bipartite M the float32 step
+    can stall above that floor, its rounding noise amplified by a ratio near
+    1, so the sweep also hands a slice over once its step has not halved
+    within 32 steps. A float64 polish continues from the renormalised
+    iterate, stepping Mv + sigma*v and checking each step against `tol`, on
+    what is left of `max_iters`. The sweep is only a warm start, at half the
+    memory traffic: the stopping rule, v* and s* = v^T M v all come from
+    float64. `iterations` counts the matvecs of both stages; `converged`
+    means the polish stopped on `tol`. A slice's results are bitwise
+    independent of the batch it shares.
+    """
+    budget = np.full(m_stack.shape[0], max_iters, dtype=np.int64)
+    m32, start, block = _sweep_operands(m_stack, keep)
     v32, k32, _ = _iterate(m32, start, budget, max(tol, _F32_STEP_FLOOR), block, np.matmul,
                            count_fired=0, owned=True, stall_window=_STALL_WINDOW)
     v = v32.astype(np.float64)
@@ -267,6 +299,105 @@ def _power_iteration_batch(
                                  count_fired=1, owned=False)
     lam = np.einsum("bij,bij->b", v, np.matmul(m_stack, v))
     return v[..., 0], lam, k32 + k64, converged
+
+
+def _bracket(u, w, nonzero):
+    """Bounds lo <= lambda_1(M) <= hi, one pair per slice, from one float32
+    sweep step w = (M + sigma*I)u; u and w are (a, n, 1) and `nonzero`
+    (a, n) marks the non-zero rows of M. Needs u >= 0 and every non-zero
+    entry of M at least float32's smallest normal number (compatibility
+    entries are 0 or at least 2^-53).
+
+    Exact arithmetic, with A = M + sigma*I symmetric and non-negative: the
+    Rayleigh quotient u^T A u / u^T u is at most lambda_1(A), and
+    lambda_1(A) <= max_i (Au)_i / u_i when every u_i > 0 (Collatz-Wielandt:
+    the bound is the row-sum norm of D^-1 A D, D = diag(u); Meyer, Matrix
+    Analysis, ch. 8). A zero row of the symmetric M is a zero column too,
+    so it splits off a 1x1 block of M with eigenvalue 0 <= lambda_1(M), the
+    Perron root of a non-negative M: such rows are skipped, whatever u_i
+    is. A non-zero row with u_i = 0 makes hi = +inf, as does one with
+    u_i < 2^-100, where float32 products may underflow. Skipping every 0/0
+    instead would be unsound: for M = diag(1, 5) and u = (1, 0), Mu <= u,
+    yet lambda_1 = 5.
+
+    Rounding: the float32 copy holds sigma in its diagonal, so each w_i is
+    a float32 sum of n non-negative products, within gamma_n = ne / (1 - ne),
+    e = 2^-24, of its exact value, relative (Higham, Accuracy and Stability,
+    ch. 3); the float64 reductions here add far less. Both bounds are
+    widened by 2 gamma_{n+2}. The float32 copy of M is within e of M
+    entrywise, relative, and the Perron root is monotone in the entries, so
+    lambda_1(M) lies between lambda_1(fl32(M)) / (1 + e) and / (1 - e).
+    """
+    n = u.shape[1]
+    g = 2 * (n + 2) * _U32 / (1 - (n + 2) * _U32)
+    u, w = u[..., 0].astype(np.float64), w[..., 0].astype(np.float64)
+    rayleigh = np.einsum("ai,ai->a", u, w) / np.einsum("ai,ai->a", u, u)
+    ratio = np.divide(w, u, out=np.full_like(w, np.inf), where=u >= _U_FLOOR)
+    ratio[~nonzero] = _SHIFT
+    lo = np.maximum(rayleigh * (1 - g) - _SHIFT, 0.0) / (1 + _U32)
+    hi = (ratio.max(axis=1) * (1 + g) - _SHIFT) / (1 - _U32)
+    return lo, hi
+
+
+def _order_mode(m_stack, keep, tol, max_iters):
+    """Each slice only until its rank among the slices is proven; the keys
+    order the slices as lambda_1 does.
+
+    The float32 sweep of `_tol_mode` runs with no step rule. At the last
+    step of each block, `_bracket` bounds every live slice's lambda_1 by
+    [lo, hi], intersected with that slice's earlier brackets. A slice
+    retires, certified, once its bracket is disjoint from the current
+    bracket of every other slice. A retired slice's bracket stays frozen and
+    a live one's only shrinks, so the final bracket of a certified slice is
+    disjoint from every other final bracket. Slices still uncertified after
+    `max_iters` steps (near-ties, and exact ties such as two copies of one
+    scan) are scored by `_tol_mode` from the uniform start, on just that
+    subset; a slice's tol-mode result does not depend on its batch, so their
+    keys are tol mode's s*, bit for bit.
+
+    Keys: a certified slice's key is its final lo. Two certified slices have
+    disjoint brackets, so their keys order them as lambda_1 does. An
+    uncertified slice's bracket lies wholly above or below each certified
+    one, which proves their order; its s* must lie on the same side of that
+    slice's key, or every slice is scored by `_tol_mode` instead. So the
+    keys order each pair with a certified slice as lambda_1 does, and the
+    other pairs as tol mode's s*. The keys are bounds, not s* converged to
+    `tol`, and they depend on which slices share the batch. `iterations`
+    counts every matvec, the fallbacks' included; `converged` is True for a
+    certified slice.
+    """
+    b, n = m_stack.shape[0], m_stack.shape[1]
+    m32, start, block = _sweep_operands(m_stack, keep)
+    nonzero = np.matmul(m_stack, np.ones(n)) > 0  # a non-negative row sums to 0 only if zero
+    lo, hi = np.full(b, -np.inf), np.full(b, np.inf)
+    certified = np.zeros(b, dtype=bool)
+
+    def certify(active, u, w):
+        lo_a, hi_a = _bracket(u, w, nonzero[active])
+        lo[active] = np.maximum(lo[active], lo_a)
+        hi[active] = np.minimum(hi[active], hi_a)
+        apart = (hi[active, None] < lo) | (lo[active, None] > hi)
+        apart[np.arange(active.size), active] = True  # a slice is not compared with itself
+        done = apart.all(axis=1)
+        certified[active[done]] = True
+        return done
+
+    budget = np.full(b, max_iters, dtype=np.int64)
+    v32, iterations, _ = _iterate(m32, start, budget, 0.0, block, np.matmul,
+                                  count_fired=0, owned=True, certify=certify)
+    v = v32[..., 0].astype(np.float64)
+    v /= np.sqrt(np.einsum("bi,bi->b", v, v))[:, None]
+    key, converged = lo.copy(), certified.copy()
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        v[rest], key[rest], extra, converged[rest] = _tol_mode(m_stack[rest], keep[rest], tol,
+                                                               max_iters)
+        iterations[rest] += extra
+        s, lo_c = key[rest, None], lo[certified]
+        if np.any(np.where(lo[rest, None] > hi[certified], s <= lo_c, s >= lo_c)):
+            v, key, extra, converged = _tol_mode(m_stack, keep, tol, max_iters)
+            iterations += extra
+    return v, key, iterations, converged
 
 
 def power_iterate(
@@ -299,6 +430,8 @@ def score_candidates(
     candidates: list[ScanRecord],
     params: SpectralParams = SpectralParams(),
     workers: int = 1,
+    *,
+    order: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Spectral fitness of every candidate against one query.
 
@@ -307,6 +440,14 @@ def score_candidates(
     candidate is scored on the subset of those n pairs that `mutual_pairs`
     keeps. `workers` only controls how the candidate batch is split across
     threads; any split yields identical scores.
+
+    By default each score is s* = v*^T M v*, converged to `params.tol`.
+    With `order`, the re-ranker's mode, the scores are sort keys: sorted in
+    descending order they rank the candidates by lambda_1, proven wherever
+    float32 rounding separates them, and by the default s* among the rest.
+    A proven candidate's key is a certified lower bound on its lambda_1,
+    not s* converged to `tol`, and it depends on which candidates share the
+    batch (see `_order_mode`).
     """
     for cand in candidates:
         if cand.feature_dim != query.feature_dim:
@@ -346,5 +487,5 @@ def score_candidates(
         m_stack = np.concatenate(parts)
     if params.mutual:  # dropped pairs get zero rows and columns
         m_stack *= keep[:, :, None] & keep[:, None, :]
-    _, lam, _, _ = _power_iteration_batch(m_stack, keep, params.tol, params.max_iters)
+    _, lam, _, _ = _power_iteration_batch(m_stack, keep, params.tol, params.max_iters, order)
     return lam, n

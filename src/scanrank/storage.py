@@ -67,10 +67,13 @@ def read_scan(path) -> ScanRecord:
     """Read one archive; a missing or malformed one raises a `ScanrankError`
     that names the file."""
     try:
-        with open(path, "rb", buffering=0) as f:  # one unbuffered read of the whole file
-            data = f.read()
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError as exc:
         raise MissingFileError(f"scan archive not found: {path}") from exc
+    try:  # one read of the size the file has; a short read fails the length checks below
+        data = os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
     if len(data) < _HEADER.size:
         raise TruncatedFileError(f"{path}: shorter than header")
     magic, n, dp, d, id_len = _HEADER.unpack_from(data, 0)

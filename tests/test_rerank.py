@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from scanrank.rerank import (
     rerank_spectral,
 )
 from scanrank.retrieval import RankedList, build_index, query_topk
-from scanrank.spectral import SpectralParams
+from scanrank.spectral import SpectralParams, score_candidates
 from scanrank.synthgen import WorldConfig, generate_world
 
 from conftest import make_scan
+from make_golden import WORLDS
 
 
 def feature_world(rng, n_candidates=6, n_points=40, dim=6):
@@ -89,6 +92,29 @@ class TestRerankSpectral:
         for workers in (2, 4):
             out = rerank_spectral(query, ranked, params, workers=workers)
             assert np.array_equal(out.rows, base.rows)
+
+
+@pytest.fixture(scope="module", params=[(w, seed) for w in WORLDS for seed in (0, 1)],
+                ids=lambda p: f"{p[0]}-seed{p[1]}")
+def seeded_world(request):
+    name, seed = request.param
+    world = generate_world(replace(WORLDS[name], seed=seed))
+    return world, build_index(world.database)
+
+
+@pytest.mark.parametrize("mutual", [False, True], ids=["plain", "mutual"])
+@pytest.mark.parametrize("k", [2, 20])
+def test_order_mode_permutes_as_tol_mode_scores_sort(seeded_world, k, mutual):
+    # rerank_spectral stops each candidate once its rank is proven; its
+    # order must equal the stable descending argsort of the converged s*
+    world, index = seeded_world
+    params = RerankParams(n_topk=k, spectral=SpectralParams(mutual=mutual))
+    for query in world.queries:
+        ranked = query_topk(index, query.global_descriptor, k=k)
+        s_star, _ = score_candidates(query, ranked.scans(k), params.spectral)
+        want = ranked.rows[np.argsort(-s_star, kind="stable")].tolist()
+        for workers in (1, 3):
+            assert rerank_spectral(query, ranked, params, workers).rows.tolist() == want
 
 
 class TestRerankRir:

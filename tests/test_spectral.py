@@ -541,3 +541,133 @@ class TestBatchedScoring:
         scores, n = score_candidates(query, [])
         assert scores.shape == (0,)
         assert n == 48
+
+
+@st.composite
+def bracket_cases(draw):
+    """A non-negative symmetric M with a zero diagonal (random, bipartite,
+    block-diagonal or with zero rows), a keep mask and a sweep depth."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "bipartite", "blocks", "zero_rows"]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = r.random((n, n)) * (r.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    if kind == "bipartite":
+        side = r.random(n) < 0.5
+        m *= side[:, None] != side[None, :]
+    elif kind == "blocks":
+        block = r.integers(0, draw(st.integers(1, 5)), n)
+        m *= block[:, None] == block[None, :]
+    elif kind == "zero_rows":
+        dead = r.random(n) < draw(st.floats(0.0, 1.0))
+        m[dead] = 0.0
+        m[:, dead] = 0.0
+    m = np.triu(m, 1)
+    m = m + m.T
+    # the solver's contract: only all-zero rows may start at 0
+    keep = m.any(axis=1) if draw(st.booleans()) and m.any() else np.ones(n, dtype=bool)
+    return m, keep, draw(st.integers(0, 40))
+
+
+def sweep_bracket(m, keep, steps):
+    """The bracket of M from the float32 step after `steps` normalised steps."""
+    m32, u, _ = spectral._sweep_operands(m[None], keep[None])
+    for _ in range(steps):
+        u = np.matmul(m32, u)
+        u /= np.linalg.norm(u)
+    lo, hi = spectral._bracket(u, np.matmul(m32, u), m.any(axis=1)[None])
+    return lo[0], hi[0]
+
+
+def order_and_tol(stack):
+    """Both modes' results for a stack scored on every pair, max_iters = 100."""
+    keep = np.ones(stack.shape[:2], dtype=bool)
+    order = spectral._power_iteration_batch(stack, keep, 1e-6, 100, order=True)
+    return order, spectral._power_iteration_batch(stack, keep, 1e-6, 100)
+
+
+class TestOrderMode:
+    """The re-ranker's mode: a slice stops once its rank is proven."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=bracket_cases())
+    def test_every_bracket_contains_lambda_1(self, case):
+        m, keep, steps = case
+        lo, hi = sweep_bracket(m, keep, steps)
+        lam = np.linalg.eigvalsh(m)[-1]
+        slack = 8 * m.shape[0] * np.finfo(np.float64).eps * lam  # eigvalsh's own error
+        assert lo - slack <= lam <= hi + slack
+
+    def test_zero_iterate_entry_on_a_non_zero_row_gives_no_upper_bound(self):
+        # M u <= 1 * u for u = (1, 0), yet lambda_1 = 5: skipping that 0/0
+        # would give an upper bound of 1
+        m = np.diag([1.0, 5.0])
+        u = np.array([[[1.0], [0.0]]], dtype=np.float32)
+        w = np.matmul((m + 0.25 * np.eye(2)).astype(np.float32), u)
+        lo, hi = spectral._bracket(u, w, np.ones((1, 2), dtype=bool))
+        assert lo[0] <= 1.0 and hi[0] >= 5.0
+
+    def test_zero_matrix(self):
+        m = np.zeros((5, 5))
+        assert sweep_bracket(m, np.ones(5, dtype=bool), 3) == (0.0, pytest.approx(0.0, abs=1e-5))
+        # alone it is certified at once; two of them tie and fall back
+        (_, key, iters, conv), _ = order_and_tol(m[None])
+        assert key[0] == 0.0 and conv[0] and iters[0] == 8
+        (_, key, iters, _), (_, lam, tol_iters, _) = order_and_tol(np.stack([m, m]))
+        assert np.array_equal(key, lam) and key.tolist() == [0.0, 0.0]
+        assert np.array_equal(iters, 100 + tol_iters)
+
+    def test_separated_eigenvalues_give_the_eigvalsh_order(self, rng):
+        n = 40
+        rounding = 2 * (2 * spectral._U32 * (n + 2) / (1 - spectral._U32 * (n + 2)) + spectral._U32)
+        for _ in range(20):
+            stack = np.stack([build_compatibility_matrix(
+                random_corr_set(rng, n, inlier_rate=rng.random()), 0.5).values for _ in range(12)])
+            lam = np.linalg.eigvalsh(stack)[:, -1]
+            (_, key, _, _), _ = order_and_tol(stack)
+            wide = np.abs(lam[:, None] - lam[None, :]) > rounding * np.maximum(lam[:, None], lam)
+            agree = np.sign(key[:, None] - key[None, :]) == np.sign(lam[:, None] - lam[None, :])
+            assert agree[wide].all()
+
+    def test_exact_ties_fall_back_to_tol_mode_and_keep_input_order(self, rng):
+        a, b, c = (build_compatibility_matrix(random_corr_set(rng, 30, inlier_rate=r), 0.5).values
+                   for r in (0.3, 0.6, 0.9))
+        stack = np.stack([a, b, a, c, a])
+        (_, key, iters, conv), (_, lam, tol_iters, tol_conv) = order_and_tol(stack)
+        ties = [0, 2, 4]
+        assert np.array_equal(key[ties], lam[ties])  # tol mode's s*, bit for bit
+        assert np.array_equal(iters[ties], 100 + tol_iters[ties])
+        assert np.array_equal(conv[ties], tol_conv[ties])
+        assert conv[[1, 3]].all() and (iters[[1, 3]] < 100).all()
+        order = np.argsort(-key, kind="stable")
+        assert order.tolist() == np.argsort(-lam, kind="stable").tolist()
+        assert [i for i in order if i in ties] == ties
+
+    def test_a_certified_key_is_a_lower_bound(self, rng):
+        stack = np.stack([build_compatibility_matrix(
+            random_corr_set(rng, 50, inlier_rate=r), 0.5).values for r in np.linspace(0.1, 0.9, 9)])
+        (_, key, iters, conv), (_, lam, _, _) = order_and_tol(stack)
+        top = np.linalg.eigvalsh(stack)[:, -1]
+        assert conv.all() and (iters < 100).all()
+        assert (key <= top).all()
+        assert np.array_equal(np.argsort(-key, kind="stable"), np.argsort(-lam, kind="stable"))
+
+    def test_an_s_star_on_the_wrong_side_rescores_the_whole_batch(self):
+        # two copies of A tie and fall back to tol mode, whose s* at a loose
+        # tol (9.1958) stops below the certified key of C = 0.999 A (9.1981);
+        # keeping it would rank C above A, so every slice is scored by tol
+        # mode instead
+        rng = np.random.default_rng(5)
+        a = build_compatibility_matrix(random_corr_set(rng, 40, inlier_rate=0.3), 0.5).values
+        stack = np.stack([a, a, 0.999 * a])
+        keep = np.ones(stack.shape[:2], dtype=bool)
+        _, key, iters, conv = spectral._power_iteration_batch(stack, keep, 0.2, 100, order=True)
+        _, lam, tol_iters, tol_conv = spectral._power_iteration_batch(stack, keep, 0.2, 100)
+        assert np.array_equal(key, lam) and np.array_equal(conv, tol_conv)
+        assert (iters > tol_iters).all()
+        assert np.argsort(-key, kind="stable").tolist() == [0, 1, 2]
+
+    def test_zero_rows_with_zero_entries_are_skipped(self):
+        # a dropped mutual pair: its row of M is zero and it starts at 0
+        m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        lo, hi = sweep_bracket(m, np.array([True, True, False]), 2)
+        assert lo == pytest.approx(1.0, rel=1e-5) and hi == pytest.approx(1.0, rel=1e-5)

@@ -115,6 +115,17 @@ class TestScanArchive:
         with pytest.raises(MissingFileError):
             read_scan(tmp_path / "absent.sgv")
 
+    def test_short_read_is_truncated(self, tmp_path, monkeypatch):
+        # the file is read with one os.read of its stat size, which may
+        # return fewer bytes, as when the file shrinks in between
+        path = tmp_path / "short.sgv"
+        write_scan(path, make_scan("t", np.zeros((10, 3))))
+        read = os.read
+        with monkeypatch.context() as m:
+            m.setattr(os, "read", lambda fd, size: read(fd, size)[:size - 12])
+            with pytest.raises(TruncatedFileError, match=re.escape(str(path))):
+                read_scan(path)
+
     # corruption: (float index into the payload of `one_point_scan`, value,
     # message); points are floats 0-2, features 3-6, descriptor 7-14, pose
     # 15-30 (row-major 4x4), geo location 31-33; no index corrupts the id
