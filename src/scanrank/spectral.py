@@ -161,11 +161,12 @@ def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0,
     when `count_fired` is 1 and dropped when 0. With a `stall_window`, a
     slice also retires, unfired, with its last iterate when its step has not
     halved since the check `stall_window` or more steps before; that rule is
-    evaluated only at those sparse checks, not every block. With a
-    `certify` hook, `certify(active, u, w)` sees the last step w = step(u)
-    of each block before normalisation, for the live slices `active`
-    (indices into the batch), and returns which of them retire, unfired,
-    with that iterate. Without the hook slices retire on their own and every
+    evaluated only at those sparse checks, not every block. A `certify`
+    hook replaces the step rule (`thr` is unused): `certify(active, u, w)`
+    sees the last step w = step(u) of each block before normalisation, for
+    the live slices `active` (indices into the batch), and returns which of
+    them retire, unfired, with that iterate; only that iterate is
+    normalised. Without the hook slices retire on their own and every
     schedule depends only on the step count, so a slice's trajectory never
     depends on which others share the batch.
     The live slices sit at the front of a working copy of m (m itself when
@@ -186,11 +187,16 @@ def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0,
         trail[0] = va
         for t in range(s):
             step(m_act, trail[t], trail[t + 1])
-        certified = certify(active, trail[s - 1], trail[s]) if certify else False
-        trail[1:] /= np.sqrt(np.einsum("sbij,sbij->sb", trail[1:], trail[1:]))[..., None, None]
-        d = trail[1:] - trail[:-1]
-        size = np.sqrt(np.einsum("sbij,sbij->sb", d, d))
-        hit = size < thr
+        if certify:  # in place of the step rule; only the last iterate is kept
+            certified = certify(active, trail[s - 1], trail[s])
+            trail[s] /= np.sqrt(np.einsum("bij,bij->b", trail[s], trail[s]))[:, None, None]
+            hit = np.zeros((s, active.size), dtype=bool)
+        else:
+            certified = False
+            trail[1:] /= np.sqrt(np.einsum("sbij,sbij->sb", trail[1:], trail[1:]))[..., None, None]
+            d = trail[1:] - trail[:-1]
+            size = np.sqrt(np.einsum("sbij,sbij->sb", d, d))
+            hit = size < thr
         k += s
         conv = hit.any(axis=0)
         retire = conv | (budget[active] <= k) | certified
@@ -343,7 +349,7 @@ def _order_mode(m_stack, keep, tol, max_iters):
     """Each slice only until its rank among the slices is proven; the keys
     order the slices as lambda_1 does.
 
-    The float32 sweep of `_tol_mode` runs with no step rule. At the last
+    The float32 sweep of `_tol_mode` runs without its step rule. At the last
     step of each block, `_bracket` bounds every live slice's lambda_1 by
     [lo, hi], intersected with that slice's earlier brackets. A slice
     retires, certified, once its bracket is disjoint from the current
@@ -374,16 +380,16 @@ def _order_mode(m_stack, keep, tol, max_iters):
 
     def certify(active, u, w):
         lo_a, hi_a = _bracket(u, w, nonzero[active])
-        lo[active] = np.maximum(lo[active], lo_a)
-        hi[active] = np.minimum(hi[active], hi_a)
-        apart = (hi[active, None] < lo) | (lo[active, None] > hi)
+        lo[active] = lo_a = np.maximum(lo[active], lo_a)
+        hi[active] = hi_a = np.minimum(hi[active], hi_a)
+        apart = (hi_a[:, None] < lo) | (lo_a[:, None] > hi)
         apart[np.arange(active.size), active] = True  # a slice is not compared with itself
         done = apart.all(axis=1)
         certified[active[done]] = True
         return done
 
     budget = np.full(b, max_iters, dtype=np.int64)
-    v32, iterations, _ = _iterate(m32, start, budget, 0.0, block, np.matmul,
+    v32, iterations, _ = _iterate(m32, start, budget, None, block, np.matmul,
                                   count_fired=0, owned=True, certify=certify)
     v = v32[..., 0].astype(np.float64)
     v /= np.sqrt(np.einsum("bi,bi->b", v, v))[:, None]
