@@ -2,13 +2,23 @@
 
 The RANSAC loop is deterministic for a fixed seed: hypothesis triples are
 drawn in order from one seeded stream, block by block (16, 32, 64, then
-128 at a time), only as far as the adaptive confidence exit reaches. Each
-block is evaluated vectorized and the exit is applied on the draw index,
-so block size never changes the result.
+128 at a time), and each block draws keys only for the hypotheses below
+ceil(needed), the adaptive confidence exit as it stands when the block
+starts; the exit only moves down, so no later hypothesis is ever read.
+Each block is fitted vectorized and scored by one batched matmul, and the
+exit is applied on the draw index, so block size never changes the result.
+
+The matmul scoring rounds differently from the einsum it replaced (last
+bits of r^2), so an inlier decision could differ only for a squared
+residual within rounding of tau^2. Over every block of every top-1 and
+RANSAC-RIR call on the default world (seeds 0 and 1) and the hard world,
+about 3e8 decisions, none differed: the smallest |r^2 - tau^2| was 1.1e-6
+and the largest einsum/matmul difference in r^2 was 1.1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +45,9 @@ class RansacParams:
     confidence: float = 0.999
 
     def __post_init__(self) -> None:
-        if self.inlier_threshold <= 0:
-            raise ValueError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
+        if not 0 < self.inlier_threshold < math.inf:
+            raise ValueError(
+                f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.confidence < 1.0:
@@ -88,6 +99,19 @@ def _residuals(rot: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
     return np.linalg.norm(x @ rot.T + t - y, axis=1)
 
 
+def _inlier_counts(rot: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   tau: float) -> np.ndarray:
+    """Inliers of each hypothesis (rot[m], t[m]) among the pairs (x, y): the
+    count of squared residuals below tau^2, from one batched matmul."""
+    r = np.matmul(x, rot.transpose(0, 2, 1))  # (m, n, 3)
+    r += t[:, None, :]
+    r -= y
+    r *= r
+    sq = r[..., 0] + r[..., 1]
+    sq += r[..., 2]
+    return np.count_nonzero(sq < tau * tau, axis=1)
+
+
 def _batched_kabsch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rigid fits for a stack of 3-point samples (m, 3, 3). Returns
     (rotations, translations, valid-mask); rank-deficient samples are
@@ -128,16 +152,15 @@ def ransac_register(corrs: CorrespondenceSet, params: RansacParams = RansacParam
     needed = float(params.max_iterations)
 
     # Each block's keys are drawn just before it runs, in blocks that double
-    # up to _MAX_BLOCK: the generator yields the same keys however the draws
-    # are chunked, so stopping early only skips draws nobody reads.
+    # up to _MAX_BLOCK, and only for hypotheses below ceil(needed): `needed`
+    # never grows, so later ones are never read. The generator yields the
+    # same keys however the draws are chunked.
     start, size, stop = 0, _FIRST_BLOCK, False
     while not stop and start < needed:
-        keys = rng.random((min(size, params.max_iterations - start), n))
+        keys = rng.random((min(size, math.ceil(needed) - start), n))
         blk = np.argpartition(keys, 2, axis=1)[:, :3]
         rot, t, valid = _batched_kabsch(x[blk], y[blk])
-        # residuals of every point under every hypothesis in the block
-        tx = np.einsum("mij,nj->mni", rot, x) + t[:, None, :]
-        counts = ((((tx - y[None]) ** 2).sum(axis=2)) < tau * tau).sum(axis=1)
+        counts = _inlier_counts(rot, t, x, y, tau)
         for j, (ok, c) in enumerate(zip(valid.tolist(), counts.tolist())):
             if start + j >= needed:
                 break
@@ -178,8 +201,8 @@ def registered_inlier_ratio(corrs: CorrespondenceSet, transform: RigidTransform,
     """Fraction of correspondences within `tau` after applying `transform`."""
     if len(corrs) == 0:
         raise EmptySetError("inlier ratio of an empty correspondence set is undefined")
-    if tau <= 0:
-        raise NonPositiveThresholdError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise NonPositiveThresholdError(f"tau must be finite and > 0, got {tau}")
     res = _residuals(transform.rotation, transform.translation,
                      corrs.query_points, corrs.candidate_points)
     return float(int((res < tau).sum()) / len(corrs))

@@ -24,6 +24,7 @@ oracle of the tests.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,12 +48,12 @@ class SpectralParams:
     mutual: bool = False
 
     def __post_init__(self) -> None:
-        if self.d_thr <= 0:
-            raise NonPositiveThresholdError(f"d_thr must be > 0, got {self.d_thr}")
+        if not 0 < self.d_thr < math.inf:
+            raise NonPositiveThresholdError(f"d_thr must be finite and > 0, got {self.d_thr}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -127,8 +128,8 @@ def _compat_values(dx: np.ndarray, y: np.ndarray, d_thr: float) -> np.ndarray:
 
 def build_compatibility_matrix(corrs: CorrespondenceSet, d_thr: float) -> CompatibilityMatrix:
     """Pairwise spatial-compatibility matrix of a correspondence set."""
-    if d_thr <= 0:
-        raise NonPositiveThresholdError(f"d_thr must be > 0, got {d_thr}")
+    if not 0 < d_thr < math.inf:
+        raise NonPositiveThresholdError(f"d_thr must be finite and > 0, got {d_thr}")
     dx = _pairwise_distances(corrs.query_points, d_thr)
     values = _compat_values(dx, corrs.candidate_points, d_thr)
     return CompatibilityMatrix(values, d_thr)

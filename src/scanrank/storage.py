@@ -119,19 +119,20 @@ def read_scan(path) -> ScanRecord:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Parsed manifest: ordered (id, path) per role."""
+    """Parsed manifest: ordered (id, path) per role. Each path is a `str`,
+    the manifest's directory joined with the line's relative path."""
 
-    database: tuple[tuple[str, Path], ...]
-    queries: tuple[tuple[str, Path], ...]
+    database: tuple[tuple[str, str], ...]
+    queries: tuple[tuple[str, str], ...]
 
 
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"manifest not found: {path}")
-    base = path.parent
-    db: list[tuple[str, Path]] = []
-    queries: list[tuple[str, Path]] = []
+    base = os.path.dirname(path)
+    db: list[tuple[str, str]] = []
+    queries: list[tuple[str, str]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -144,11 +145,11 @@ def read_manifest(path) -> DatasetManifest:
         if scan_id in seen:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate id {scan_id!r}")
         seen.add(scan_id)
-        # string checks, not Path parts: this runs once per line of manifests
-        # with thousands of lines; either slash counts as a separator
+        # string checks and joins, not Path parts: this runs once per line of
+        # manifests with thousands of lines; either slash counts as a separator
         if os.path.isabs(rel) or ".." in rel.replace("\\", "/").split("/"):
             raise IoError(f"{path}:{lineno}: path {rel!r} escapes the dataset directory")
-        target = base / rel
+        target = os.path.join(base, rel)
         if role == "db":
             db.append((scan_id, target))
         elif role == "query":

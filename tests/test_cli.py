@@ -115,6 +115,11 @@ class TestRun:
         (["--strategy", "average_qe"], {"n_qe": -1}, "n_qe must be >= 0"),
         ([], {"radii": "5,-1"}, "radii must be"),
         ([], {"recall_ks": "1,0"}, "every recall k must be >= 1"),
+        ([], {"d_thr": "nan"}, "d_thr must be finite and > 0, got nan"),
+        ([], {"d_thr": "inf"}, "d_thr must be finite and > 0, got inf"),
+        ([], {"tol": "nan"}, "tol must be finite and > 0, got nan"),
+        ([], {"inlier_threshold": "nan"}, "inlier_threshold must be finite and > 0, got nan"),
+        ([], {"inlier_threshold": "inf"}, "inlier_threshold must be finite and > 0, got inf"),
     ])
     def test_out_of_range_value_is_a_config_error(self, small_dataset, tmp_path, capsys,
                                                   monkeypatch, argv, config, message):

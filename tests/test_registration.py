@@ -1,11 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scanrank.errors import (
     DegenerateConfigurationError,
     EmptySetError,
+    NonPositiveThresholdError,
     TooFewCorrespondencesError,
 )
 from scanrank.geometry import RigidTransform, random_rotation, rotation_about_z
@@ -15,6 +20,7 @@ from scanrank.registration import (
     RansacParams,
     RegistrationResult,
     _batched_kabsch,
+    _inlier_counts,
     _kabsch_arrays,
     _residuals,
     kabsch_fit,
@@ -96,6 +102,16 @@ class TestKabschFit:
                 assert np.sum((perturbed.apply(x) - y) ** 2) >= base - 1e-12
 
 
+class TestRansacParams:
+    @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_inlier_threshold_outside_zero_to_inf(self, tau):
+        with pytest.raises(ValueError, match="inlier_threshold must be finite and > 0"):
+            RansacParams(inlier_threshold=tau)
+
+    def test_accepts_a_large_finite_threshold(self):
+        assert RansacParams(inlier_threshold=1e300).inlier_threshold == 1e300
+
+
 class TestRansacRegister:
     def make_problem(self, rng, n=60, outlier_rate=0.0, scale=10.0):
         x = rng.random((n, 3)) * scale
@@ -152,9 +168,17 @@ class TestRansacRegister:
             assert res.inlier_ratio == res.inlier_mask.sum() / len(corrs)
 
 
-def eager_ransac_register(corrs, params):
+def einsum_squared_residuals(rot, t, x, y):
+    """Oracle for block scoring: (m, n) squared residuals from the einsum
+    that scored blocks before the batched matmul replaced it."""
+    return (((np.einsum("mij,nj->mni", rot, x) + t[:, None, :]) - y[None]) ** 2).sum(axis=2)
+
+
+def eager_ransac_register(corrs, params, needed_at=None):
     """Reference RANSAC: every hypothesis's keys drawn up front, then fitted
-    and scored in fixed blocks of 128 with the same adaptive exit."""
+    and scored in fixed blocks of 128 with the same adaptive exit. Scoring
+    uses the einsum oracle. If given, `needed_at` receives the exit bound
+    `needed` as it stands before each hypothesis index is examined."""
     n = len(corrs)
     x, y, tau = corrs.query_points, corrs.candidate_points, params.inlier_threshold
     rng = np.random.default_rng(params.seed)
@@ -167,9 +191,10 @@ def eager_ransac_register(corrs, params):
             break
         blk = triples[start:start + 128]
         rot, t, valid = _batched_kabsch(x[blk], y[blk])
-        tx = np.einsum("mij,nj->mni", rot, x) + t[:, None, :]
-        counts = ((((tx - y[None]) ** 2).sum(axis=2)) < tau * tau).sum(axis=1)
+        counts = (einsum_squared_residuals(rot, t, x, y) < tau * tau).sum(axis=1)
         for j in range(blk.shape[0]):
+            if needed_at is not None:
+                needed_at.append(needed)
             if start + j >= needed:
                 stop = True
                 break
@@ -196,6 +221,26 @@ def eager_ransac_register(corrs, params):
         except DegenerateConfigurationError:
             pass
     return RegistrationResult(transform, mask, float(int(mask.sum()) / n))
+
+
+def exact_inlier_problem(n, inlier_fraction, seed):
+    """n pairs: round(inlier_fraction * n) exact inliers of one rigid motion,
+    the rest uniform in the same 10 m cube."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 3)) * 10.0
+    y = RigidTransform(random_rotation(rng), rng.standard_normal(3)).apply(x)
+    k = n - round(inlier_fraction * n)
+    y[:k] = rng.random((k, 3)) * 10.0
+    return corrs_from(x, y)
+
+
+# (n, inlier fraction, bounds) whose adaptive exit lands inside the second
+# block (hypotheses 16..47) or the third (48..111), at a fractional `needed`
+# (19.66, 28.39, 37.96, 51.73 and 72.30 at confidence 0.999)
+EXIT_INSIDE_LATER_BLOCKS = [
+    (60, 0.66, 16, 48), (60, 0.6, 16, 48), (40, 0.55, 16, 48),
+    (100, 0.5, 48, 112), (100, 0.45, 48, 112),
+]
 
 
 def outcome(register, corrs, params):
@@ -227,6 +272,56 @@ class TestBlockwiseDrawsMatchEagerReference:
                 assert outcome(ransac_register, corrs, params) == \
                     outcome(eager_ransac_register, corrs, params)
 
+    @pytest.mark.parametrize("n, inliers, lo, hi", EXIT_INSIDE_LATER_BLOCKS)
+    def test_bitwise_equal_when_the_exit_lands_inside_a_later_block(self, n, inliers, lo, hi):
+        corrs = exact_inlier_problem(n, inliers, seed=7 * n)
+        for seed in (0, 1, 12345):
+            params = RansacParams(inlier_threshold=0.3, max_iterations=1000, seed=seed)
+            needed_at = []
+            expected = outcome(lambda c, p: eager_ransac_register(c, p, needed_at),
+                               corrs, params)
+            final = needed_at[-1]
+            assert lo < final < hi and final != math.floor(final)
+            assert outcome(ransac_register, corrs, params) == expected
+
+    @pytest.mark.parametrize("n, inliers, max_iterations", [
+        *((n, inliers, 1000) for n, inliers, _, _ in EXIT_INSIDE_LATER_BLOCKS),
+        (96, 0.7, 15), (96, 0.7, 50), (96, 0.1, 129), (13, 1.0, 1000), (300, 0.3, 1000),
+    ])
+    def test_no_block_draws_keys_past_the_exit(self, monkeypatch, n, inliers, max_iterations):
+        corrs = exact_inlier_problem(n, inliers, seed=7 * n)
+        default_rng = np.random.default_rng
+        for seed in (0, 1):
+            params = RansacParams(inlier_threshold=0.3, max_iterations=max_iterations,
+                                  seed=seed)
+            needed_at = []
+            expected = outcome(lambda c, p: eager_ransac_register(c, p, needed_at),
+                               corrs, params)
+            rows = []
+
+            class RecordingGenerator:
+                """Checks each block's draw against `needed` as it stood when
+                the block started, before passing it to the real generator."""
+
+                def __init__(self, rng):
+                    self._rng = rng
+
+                def random(self, shape):
+                    start = sum(rows)
+                    assert start < len(needed_at), "drew a block the exit never reaches"
+                    assert 0 < shape[0] <= math.ceil(needed_at[start]) - start
+                    rows.append(shape[0])
+                    return self._rng.random(shape)
+
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda s: RecordingGenerator(default_rng(s)))
+            got = outcome(ransac_register, corrs, params)
+            monkeypatch.undo()
+            assert got == expected
+            # every hypothesis the reference examined was drawn
+            examined = sum(1 for j, needed in enumerate(needed_at) if j < needed)
+            assert sum(rows) >= examined
+
     def test_all_degenerate_raises_the_same_error(self):
         line = np.linspace(0, 1, 7)[:, None] * np.array([[1.0, 2.0, 0.5]])
         for max_iterations in (1, 15, 129, 300):
@@ -250,7 +345,40 @@ class TestBlockwiseDrawsMatchEagerReference:
         assert peak < 2_000_000
 
 
+@st.composite
+def scoring_blocks(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 8))
+    coord = st.floats(-1e3, 1e3)
+    x = draw(arrays(np.float64, (n, 3), elements=coord))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rot = np.stack([random_rotation(rng) for _ in range(m)])
+    t = draw(arrays(np.float64, (m, 3), elements=coord))
+    tau = draw(st.floats(0.05, 5.0))
+    # y lies within a few tau of hypothesis 0's image of x, so its count is mixed
+    offsets = draw(arrays(np.float64, (n, 3), elements=st.floats(-3.0, 3.0)))
+    y = x @ rot[0].T + t[0] + offsets * tau
+    return rot, t, x, y, tau
+
+
+class TestInlierCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_blocks())
+    def test_equal_the_einsum_oracle_away_from_tau(self, block):
+        rot, t, x, y, tau = block
+        sq = einsum_squared_residuals(rot, t, x, y)
+        assume((np.abs(sq - tau * tau) > 1e-9 * max(1.0, tau * tau)).all())
+        np.testing.assert_array_equal(_inlier_counts(rot, t, x, y, tau),
+                                      (sq < tau * tau).sum(axis=1))
+
+
 class TestRegisteredInlierRatio:
+    @pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf")])
+    def test_rejects_tau_outside_zero_to_inf(self, tau):
+        x = np.random.default_rng(0).random((4, 3))
+        with pytest.raises(NonPositiveThresholdError):
+            registered_inlier_ratio(corrs_from(x, x), RigidTransform.identity(), tau)
+
     def test_exact_correspondences(self):
         x = np.random.default_rng(0).random((10, 3))
         assert registered_inlier_ratio(corrs_from(x, x), RigidTransform.identity(), 0.5) == 1.0

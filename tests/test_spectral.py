@@ -20,6 +20,22 @@ from scanrank.spectral import (
 from conftest import make_scan
 
 
+class TestSpectralParams:
+    @pytest.mark.parametrize("d_thr", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_d_thr_outside_zero_to_inf(self, d_thr):
+        with pytest.raises(NonPositiveThresholdError, match="d_thr must be finite and > 0"):
+            SpectralParams(d_thr=d_thr)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_rejects_tol_outside_zero_to_inf(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            SpectralParams(tol=tol)
+
+    def test_accepts_small_and_large_finite_values(self):
+        params = SpectralParams(d_thr=1e-300, tol=1e300)
+        assert (params.d_thr, params.tol) == (1e-300, 1e300)
+
+
 def corr_set(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -74,6 +90,11 @@ class TestBuildCompatibilityMatrix:
     def test_non_positive_threshold(self):
         with pytest.raises(NonPositiveThresholdError):
             build_compatibility_matrix(corr_set([[0, 0, 0]], [[0, 0, 0]]), d_thr=0.0)
+
+    @pytest.mark.parametrize("d_thr", [float("nan"), float("inf")])
+    def test_non_finite_threshold(self, d_thr):
+        with pytest.raises(NonPositiveThresholdError):
+            build_compatibility_matrix(corr_set([[0, 0, 0]], [[0, 0, 0]]), d_thr=d_thr)
 
     def test_exact_symmetry_and_range(self, rng):
         for _ in range(20):

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,7 +383,9 @@ class TestManifest:
     def test_nested_relative_path_is_accepted(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("db a scans/./a.sgv\n")
-        assert read_manifest(manifest).database == (("a", tmp_path / "scans" / "a.sgv"),)
+        entries = read_manifest(manifest).database
+        assert entries == (("a", os.path.join(tmp_path, "scans/./a.sgv")),)
+        assert Path(entries[0][1]) == tmp_path / "scans" / "a.sgv"
 
 
 class TestResultsFile:
