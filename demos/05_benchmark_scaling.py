@@ -4,8 +4,9 @@ Re-ranking cost versus candidate count
 
 Times the two geometric-verification strategies while the number of
 re-ranked candidates grows. Per-candidate registration scales linearly;
-the spectral score is one batched computation whose fixed costs amortize
-across candidates (and spread over threads on multicore hosts).
+the spectral score is one batched computation on the calling thread whose
+fixed costs amortize across candidates. `threads` spreads only the
+registration candidates over a pool.
 """
 
 from scanrank import WorldConfig, generate_world
@@ -14,7 +15,7 @@ from scanrank.pipeline import RunConfig, bench_table, run_bench
 world = generate_world(WorldConfig(seed=0, num_places=80, num_queries=20))
 cfg = RunConfig(
     seed=0,
-    threads=0,  # auto
+    threads=0,  # RANSAC-RIR workers: one per CPU
     bench_n_topk=(2, 5, 10, 20),
     bench_strategies=("spectral", "ransac_rir"),
 )

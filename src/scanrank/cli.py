@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in Strategy])
         p.add_argument("--n-topk", dest="n_topk", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads for RANSAC-RIR re-ranking only (0 = one per CPU)")
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(func=func)
 

@@ -2,9 +2,9 @@
 
 Per-query failures degrade to worst-case outcomes (identity ranking, no
 pose) instead of aborting a run. All randomness derives from the run seed
-via per-query seed sequences, and candidate-level parallelism never changes
-any number, so identical configs produce identical metric summaries
-regardless of thread count.
+via per-query seed sequences. Only RANSAC-RIR spreads its candidates over
+`threads` workers, each seeded by its ordinal, so identical configs produce
+identical metric summaries regardless of thread count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class RunConfig:
     radii: tuple[float, ...] = (5.0, 20.0)
     recall_ks: tuple[int, ...] = (1, 5, 20)
     seed: int = 0
-    threads: int = 0               # 0 = auto
+    threads: int = 0               # RANSAC-RIR workers; 0 = one per CPU
     out: str = ""
     spectral: SpectralParams = field(default_factory=SpectralParams)
     ransac: RansacParams = field(default_factory=RansacParams)
@@ -64,6 +64,8 @@ class RunConfig:
                 raise ValueError(f"unknown strategy {name!r}, expected one of {known}")
         if self.n_topk < 1:
             raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {self.threads}")
         if not all(k >= 1 for k in self.bench_n_topk):
             raise ValueError(f"every bench_n_topk must be >= 1, got {self.bench_n_topk}")
         if self.n_qe is not None and self.n_qe < 0:
@@ -96,7 +98,7 @@ def _rerank(
         return ranked
     if strategy is Strategy.SPECTRAL:
         params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral)
-        return rerank_spectral(query, ranked, params, workers=workers)
+        return rerank_spectral(query, ranked, params)
     if strategy is Strategy.RANSAC_RIR:
         ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
         params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral, ransac=ransac)

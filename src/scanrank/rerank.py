@@ -58,15 +58,11 @@ def _reorder_prefix(ranked: RankedList, fitness: np.ndarray) -> RankedList:
     return RankedList(ranked.database, rows)
 
 
-def rerank_spectral(
-    query: ScanRecord,
-    ranked: RankedList,
-    params: RerankParams,
-    workers: int = 1,
-) -> RankedList:
-    """Re-rank the top-k prefix by descending spectral fitness s*."""
+def rerank_spectral(query: ScanRecord, ranked: RankedList, params: RerankParams) -> RankedList:
+    """Re-rank the top-k prefix by descending spectral fitness s*, scored in
+    one batched stack on the calling thread."""
     scans = ranked.scans(params.n_topk)
-    scores, _ = score_candidates(query, scans, params.spectral, workers=workers, order=True)
+    scores, _ = score_candidates(query, scans, params.spectral, order=True)
     return _reorder_prefix(ranked, scores)
 
 

@@ -445,8 +445,8 @@ def score_candidates(
     Returns (scores, n) where n is the number of sampled query points, each
     matched to its nearest candidate feature; with `params.mutual` a
     candidate is scored on the subset of those n pairs that `mutual_pairs`
-    keeps. `workers` only controls how the candidate batch is split across
-    threads; any split yields identical scores.
+    keeps. `workers` > 1 splits the compatibility build over a thread pool
+    started per call, with identical scores; `rerank_spectral` uses 1.
 
     By default each score is s* = v*^T M v*, converged to `params.tol`.
     With `order`, the re-ranker's mode, the scores are sort keys: sorted in

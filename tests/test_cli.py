@@ -120,6 +120,7 @@ class TestRun:
         ([], {"tol": "nan"}, "tol must be finite and > 0, got nan"),
         ([], {"inlier_threshold": "nan"}, "inlier_threshold must be finite and > 0, got nan"),
         ([], {"inlier_threshold": "inf"}, "inlier_threshold must be finite and > 0, got inf"),
+        (["--threads", "-1"], {}, "threads must be >= 0 (0 = one per CPU), got -1"),
     ])
     def test_out_of_range_value_is_a_config_error(self, small_dataset, tmp_path, capsys,
                                                   monkeypatch, argv, config, message):

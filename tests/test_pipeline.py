@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scanrank import rerank, spectral
 from scanrank.geometry import geo_distance
 from scanrank.metrics import ground_truth_positives, recall_at_k, success_rate
 from scanrank.pipeline import RunConfig, build_report, process_queries, run, run_bench
@@ -83,6 +84,7 @@ class TestRunConfig:
         dict(strategy="sorcery"), dict(strategy="None"), dict(bench_strategies=("rir",)),
         dict(n_topk=0), dict(bench_n_topk=(2, 0)), dict(n_qe=-1), dict(alpha=0.0),
         dict(alpha=float("nan")), dict(radii=()), dict(radii=(5.0, 0.0)), dict(recall_ks=(1, 0)),
+        dict(threads=-1), dict(threads=-4),
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
@@ -180,6 +182,24 @@ class TestDeterminism:
                 run(aliased_world.database, aliased_world.queries, cfg)
                 lines.append(summary_line(out))
             assert lines[0] == lines[1], strategy
+
+    def test_spectral_starts_no_thread_pool(self, aliased_world, tmp_path, monkeypatch):
+        # the spectral re-rank scores its batch on the calling thread, so
+        # --threads 3 starts no pool and writes the threads=1 summary
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the spectral re-rank started a thread pool")
+
+        lines = []
+        for threads in (1, 3):
+            out = tmp_path / f"spectral{threads}.jsonl"
+            cfg = RunConfig(strategy="spectral", threads=threads, out=str(out))
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "ThreadPoolExecutor", NoPool)
+                patch.setattr(rerank, "ThreadPoolExecutor", NoPool)
+                run(aliased_world.database, aliased_world.queries, cfg)
+            lines.append(summary_line(out))
+        assert lines[0] == lines[1]
 
     def test_rir_strategy_deterministic_across_threads(self, aliased_world, tmp_path):
         lines = []
