@@ -20,7 +20,15 @@ from .retrieval import Database
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Everything the metrics need about one evaluated query."""
+    """Everything the metrics need about one evaluated query.
+
+    `process_queries` keeps the first D ids of each ranking, with
+    D = min(N, max(n_topk, max(recall_ks), the first-positive rank of both
+    lists at every radius)). A positive lies in the top k exactly when the
+    first-positive rank is <= k, and no first positive lies past D, so
+    recall@k at any k, MRR and every summary number read the same from
+    these lists as from the full rankings.
+    """
 
     query_id: str
     ranked_ids_pre: tuple[str, ...]

@@ -110,12 +110,34 @@ def _rerank(
     return rerank_alpha_qe(query.global_descriptor, ranked, n_qe, cfg.alpha, k=k)
 
 
+def _record_depth(cfg: RunConfig, distances: np.ndarray, *ranked: RankedList) -> int:
+    """The depth D of `process_queries` for one query; `distances` are the
+    geo distances of every database row, as `ground_truth_positives`
+    thresholds them."""
+    depth = max((cfg.n_topk, *cfg.recall_ks))
+    for r in cfg.radii:
+        mask = distances <= r
+        for ranking in ranked:
+            hits = np.flatnonzero(mask[ranking.rows])
+            if hits.size:
+                depth = max(depth, int(hits[0]) + 1)
+    return min(depth, len(distances))
+
+
 def process_queries(
     database: list[ScanRecord],
     queries: list[ScanRecord],
     cfg: RunConfig,
 ) -> list[QueryOutcome]:
-    """Retrieve, re-rank and register every query; never aborts on one query."""
+    """Retrieve, re-rank and register every query; never aborts on one query.
+
+    Each outcome keeps the first D ids of the full ranking before and after
+    re-ranking, D = min(N, max(n_topk, max(recall_ks), the first-positive
+    rank of both rankings at every radius)). A positive lies in the top k
+    exactly when the first-positive rank is <= k, and D is at least every
+    first-positive rank, so recall@k at any k and MRR read the same from
+    the kept ids as from the full rankings.
+    """
     db = build_index(database)
     workers = cfg.workers()
     outcomes: list[QueryOutcome] = []
@@ -144,10 +166,11 @@ def process_queries(
 
         positives = {r: ground_truth_positives(query, db, r) for r in cfg.radii}
         distances = db.distances_to(query.geo_location)
+        depth = _record_depth(cfg, distances, ranked_pre, ranked_post)
         outcomes.append(QueryOutcome(
             query_id=query.id,
-            ranked_ids_pre=ranked_pre.ids,
-            ranked_ids_post=ranked_post.ids,
+            ranked_ids_pre=ranked_pre.top_ids(depth),
+            ranked_ids_post=ranked_post.top_ids(depth),
             positives=positives,
             top1_distance_pre=float(distances[ranked_pre.rows[0]]),
             top1_distance_post=float(distances[ranked_post.rows[0]]),
@@ -224,7 +247,8 @@ def build_report(
         "mean_retrieve_ms": float(np.mean([o.timings["retrieve_ms"] for o in outcomes])),
         "mean_rerank_ms": float(np.mean([o.timings["rerank_ms"] for o in outcomes])),
         "mean_register_ms": float(np.mean([o.timings["register_ms"] for o in outcomes])),
-        "threads": cfg.workers(),
+        # only RANSAC-RIR spreads work over threads; the others run on one
+        "threads": cfg.workers() if Strategy(cfg.strategy) is Strategy.RANSAC_RIR else 1,
     } if outcomes else {}
 
     # the header leaves out fields that cannot change a result: the thread

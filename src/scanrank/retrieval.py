@@ -83,9 +83,13 @@ class RankedList:
     @property
     def ids(self) -> tuple[str, ...]:
         """Scan ids in ranked order."""
-        rows = self.rows.tolist()
-        if len(rows) == 1:  # itemgetter of one row returns the bare id
-            return (self.database.ids[rows[0]],)
+        return self.top_ids(self.rows.size)
+
+    def top_ids(self, n: int) -> tuple[str, ...]:
+        """Ids of the first n rows, in ranked order."""
+        rows = self.rows[:n].tolist()
+        if len(rows) < 2:  # itemgetter of one row returns the bare id
+            return tuple(self.database.ids[i] for i in rows)
         return operator.itemgetter(*rows)(self.database.ids)
 
     def scans(self, n: int) -> list[ScanRecord]:

@@ -11,8 +11,13 @@ manifest's directory: absolute paths and `..` components are rejected.
 
 Results file: newline-delimited JSON records with deterministic key order; a
 leading header record carries the run configuration, per-query records follow,
-and a summary record closes the file. It is written to a temporary file and
-renamed onto the target, so a failed write leaves any earlier file intact.
+and a summary record closes the file. A query record's `ranked_pre` and
+`ranked_post` hold the first D ids of each ranking, D = min(N, max(n_topk,
+max(recall_ks), the first-positive rank of both lists at every radius)).
+A positive lies in the top k exactly when the first-positive rank is <= k,
+so recall@k at any k and MRR read the same from the record as from the full
+ranking. The file is written to a temporary file and renamed onto the
+target, so a failed write leaves any earlier file intact.
 """
 
 from __future__ import annotations

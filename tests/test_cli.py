@@ -81,6 +81,16 @@ class TestRun:
         shown = capsys.readouterr().out
         assert "baseline" in shown and "reranked" in shown
 
+    def test_spectral_run_reports_the_one_thread_it_ran_on(self, small_dataset, tmp_path,
+                                                           capsys):
+        out = tmp_path / "results.jsonl"
+        assert main(["run", "--manifest", str(small_dataset), "--strategy", "spectral",
+                     "--threads", "4", "--out", str(out)]) == 0
+        assert read_results(out).timing["threads"] == 1
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "'threads': 1" in capsys.readouterr().out
+
     def test_config_file_with_overrides(self, small_dataset, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", manifest=str(small_dataset),
                            strategy="none", n_topk=5, seed=3)

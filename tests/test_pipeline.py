@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from scanrank import rerank, spectral
+from scanrank import pipeline, rerank, spectral
+from scanrank.errors import ScanrankError
 from scanrank.geometry import geo_distance
-from scanrank.metrics import ground_truth_positives, recall_at_k, success_rate
+from scanrank.metrics import first_positive_rank, ground_truth_positives, recall_at_k, success_rate
 from scanrank.pipeline import RunConfig, build_report, process_queries, run, run_bench
 from scanrank.registration import RansacParams
 from scanrank.rerank import Strategy
-from scanrank.retrieval import build_index
+from scanrank.retrieval import build_index, query_topk
 from scanrank.spectral import SpectralParams
 from scanrank.storage import read_results, summary_line, write_results
 from scanrank.synthgen import WorldConfig, export_world, generate_world
@@ -25,6 +26,37 @@ def small_world(**overrides):
 @pytest.fixture(scope="module")
 def aliased_world():
     return small_world()
+
+
+@pytest.fixture(scope="module")
+def noisy_world():
+    # noisy global descriptors push some first positives several ranks down
+    return small_world(num_places=60, descriptor_noise_sigma=1.0)
+
+
+def full_rankings(world, cfg):
+    """Per query, the ids of the whole ranking before and after re-ranking:
+    `query_topk` over every scan, then the strategy, as `process_queries`
+    runs them, falling back to the retrieval order where re-ranking fails."""
+    db = build_index(world.database)
+    rankings = []
+    for qi, query in enumerate(world.queries):
+        pre = query_topk(db, query.global_descriptor, k=len(db))
+        try:
+            post = pipeline._rerank(cfg, query, pre, qi, cfg.workers())
+        except ScanrankError:
+            post = pre
+        assert len(pre.ids) == len(post.ids) == len(db)
+        rankings.append((pre.ids, post.ids))
+    return rankings
+
+
+def rule_depth(cfg, query, db, full):
+    """D = min(N, max(n_topk, max(recall_ks), every first-positive rank of
+    both full rankings at every radius))."""
+    ranks = [first_positive_rank(ids, ground_truth_positives(query, db, r))
+             for ids in full for r in cfg.radii]
+    return min(len(db), max([cfg.n_topk, *cfg.recall_ks, *(k for k in ranks if k is not None)]))
 
 
 class TestProcessQueries:
@@ -44,10 +76,55 @@ class TestProcessQueries:
         sgv = process_queries(aliased_world.database, aliased_world.queries, cfg_sgv)
         assert recall_at_k(sgv, 1, 5.0) >= recall_at_k(base, 1, 5.0)
 
-    def test_outcome_lists_are_full_rankings(self, aliased_world):
-        cfg = RunConfig(strategy="none", threads=1)
-        outcomes = process_queries(aliased_world.database, aliased_world.queries, cfg)
-        assert all(len(o.ranked_ids_pre) == len(aliased_world.database) for o in outcomes)
+    @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+    def test_outcome_lists_are_the_rankings_to_their_depth(self, noisy_world, strategy):
+        # each list is exactly the first D ids of the full ranking, with D
+        # exactly the rule; some D reaches past every k, and some is cut.
+        # Places lie 50 m apart, so the first radius finds positives sooner
+        # than the second and D must come from the last one
+        cfg = RunConfig(strategy=strategy, n_topk=4, recall_ks=(1, 3), radii=(60.0, 5.0),
+                        threads=1)
+        outcomes = process_queries(noisy_world.database, noisy_world.queries, cfg)
+        db = build_index(noisy_world.database)
+        depths = []
+        for query, outcome, full in zip(noisy_world.queries, outcomes,
+                                        full_rankings(noisy_world, cfg)):
+            depth = rule_depth(cfg, query, db, full)
+            assert outcome.ranked_ids_pre == full[0][:depth]
+            assert outcome.ranked_ids_post == full[1][:depth]
+            depths.append(depth)
+        assert max(depths) > cfg.n_topk
+        assert max(depths) < len(db)
+
+    def test_written_lists_reach_the_deepest_first_positive(self, noisy_world, tmp_path):
+        # at n_topk 1 and recall k 1 only the first-positive ranks set D,
+        # and some lie deeper than 1: the written lists still reach them.
+        # Here the first radius sets D
+        cfg = RunConfig(strategy="spectral", n_topk=1, recall_ks=(1,), radii=(5.0, 60.0),
+                        threads=1)
+        outcomes = process_queries(noisy_world.database, noisy_world.queries, cfg)
+        path = tmp_path / "results.jsonl"
+        write_results(path, build_report(outcomes, cfg, len(noisy_world.database)))
+        records = read_results(path).per_query
+        db = build_index(noisy_world.database)
+        deepest = 0
+        for query, rec, full in zip(noisy_world.queries, records,
+                                    full_rankings(noisy_world, cfg)):
+            for r in cfg.radii:
+                positives = ground_truth_positives(query, db, r)
+                assert set(rec["positives"][str(r)]) == positives
+                for key, ids in zip(("ranked_pre", "ranked_post"), full):
+                    rank = first_positive_rank(ids, positives)
+                    assert rank is not None
+                    assert len(rec[key]) >= rank
+                    assert first_positive_rank(tuple(rec[key]), positives) == rank
+                    deepest = max(deepest, rank)
+                assert rec["first_positive_rank"][str(r)] == \
+                    first_positive_rank(full[1], positives)
+            depth = rule_depth(cfg, query, db, full)
+            assert rec["ranked_pre"] == list(full[0][:depth])
+            assert rec["ranked_post"] == list(full[1][:depth])
+        assert deepest > 1
 
     def test_registration_failure_degrades_not_aborts(self, aliased_world):
         # n_max=2 leaves too few correspondences for RANSAC everywhere
@@ -132,30 +209,31 @@ class TestReports:
         write_results(path, report)
         back = read_results(path)
 
-        for radius in ("5.0", "20.0"):
-            for k in (1, 5):
-                hits = evaluable = 0
+        for stage, key in (("baseline", "ranked_pre"), ("reranked", "ranked_post")):
+            for radius in ("5.0", "20.0"):
+                for k in (1, 5):
+                    hits = evaluable = 0
+                    for rec in back.per_query:
+                        positives = set(rec["positives"][radius])
+                        if not positives:
+                            continue
+                        evaluable += 1
+                        hits += bool(set(rec[key][:k]) & positives)
+                    expected = back.summary[stage]["recall"][radius][str(k)]
+                    assert 100.0 * hits / evaluable == expected
+
+                mrr = 0.0
+                evaluable = 0
                 for rec in back.per_query:
                     positives = set(rec["positives"][radius])
                     if not positives:
                         continue
                     evaluable += 1
-                    hits += bool(set(rec["ranked_post"][:k]) & positives)
-                expected = back.summary["reranked"]["recall"][radius][str(k)]
-                assert 100.0 * hits / evaluable == expected
-
-            mrr = 0.0
-            evaluable = 0
-            for rec in back.per_query:
-                positives = set(rec["positives"][radius])
-                if not positives:
-                    continue
-                evaluable += 1
-                for rank, cid in enumerate(rec["ranked_post"], 1):
-                    if cid in positives:
-                        mrr += 1.0 / rank
-                        break
-            assert 100.0 * mrr / evaluable == back.summary["reranked"]["mrr"][radius]
+                    for rank, cid in enumerate(rec[key], 1):
+                        if cid in positives:
+                            mrr += 1.0 / rank
+                            break
+                assert 100.0 * mrr / evaluable == back.summary[stage]["mrr"][radius]
 
         successes = sum(
             1 for rec in back.per_query
@@ -163,6 +241,17 @@ class TestReports:
         )
         assert 100.0 * successes / len(back.per_query) == \
             back.summary["reranked"]["success_rate"]
+
+    @pytest.mark.parametrize("strategy, threads, reported", [
+        ("ransac_rir", 3, 3), ("ransac_rir", 1, 1), ("none", 3, 1), ("alpha_qe", 2, 1),
+    ])
+    def test_timing_threads_are_the_threads_that_ran(self, aliased_world, strategy, threads,
+                                                     reported):
+        # only RANSAC-RIR spreads its candidates over a pool
+        cfg = RunConfig(strategy=strategy, threads=threads, n_topk=3)
+        outcomes = process_queries(aliased_world.database, aliased_world.queries, cfg)
+        report = build_report(outcomes, cfg, len(aliased_world.database))
+        assert report.timing["threads"] == reported
 
     def test_summary_has_no_timing_fields(self, aliased_world, tmp_path):
         cfg = RunConfig(strategy="spectral", threads=1)
