@@ -75,6 +75,18 @@ def _rotation_error(r: list[float]) -> tuple[float, float]:
     return err, det
 
 
+def _check_rotation(r: list[float], orthonormal_tol: float) -> None:
+    """The checks of a `RigidTransform` rotation given as 9 row-major floats:
+    the tolerance ceiling, orthonormality and det +1."""
+    if not orthonormal_tol <= ROTATION_TOL_F32:
+        raise ValueError(f"orthonormal_tol {orthonormal_tol} exceeds {ROTATION_TOL_F32}")
+    err, det = _rotation_error(r)
+    if err > orthonormal_tol:
+        raise ValueError(f"rotation not orthonormal: ||R^T R - I|| = {err:.3e}")
+    if abs(det - 1.0) > max(orthonormal_tol, 1e-9) * 10:
+        raise ValueError(f"rotation must have det +1, got {det:.12f}")
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """SE(3) pose: proper rotation matrix plus translation in meters.
@@ -94,15 +106,9 @@ class RigidTransform:
     orthonormal_tol: InitVar[float] = ROTATION_TOL
 
     def __post_init__(self, orthonormal_tol: float) -> None:
-        if not orthonormal_tol <= ROTATION_TOL_F32:
-            raise ValueError(f"orthonormal_tol {orthonormal_tol} exceeds {ROTATION_TOL_F32}")
         R, r = _as_finite_array(self.rotation, (3, 3), "rotation")
         t, _ = _as_finite_array(self.translation, (3,), "translation")
-        err, det = _rotation_error(r)
-        if err > orthonormal_tol:
-            raise ValueError(f"rotation not orthonormal: ||R^T R - I|| = {err:.3e}")
-        if abs(det - 1.0) > max(orthonormal_tol, 1e-9) * 10:
-            raise ValueError(f"rotation must have det +1, got {det:.12f}")
+        _check_rotation(r, orthonormal_tol)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -112,11 +118,19 @@ class RigidTransform:
 
     @classmethod
     def from_matrix(cls, m, orthonormal_tol: float = ROTATION_TOL) -> "RigidTransform":
-        """Build from a 4x4 homogeneous matrix, whose bottom row must be (0, 0, 0, 1)."""
+        """Build from a 4x4 homogeneous matrix, whose bottom row must be (0, 0, 0, 1).
+
+        The matrix is converted and checked once: the rotation checks run on
+        its floats, and the fields are read-only views of the checked matrix,
+        so `__post_init__` does not convert them again.
+        """
         m, values = _as_finite_array(m, (4, 4), "matrix")
         if values[12:] != [0.0, 0.0, 0.0, 1.0]:
             raise ValueError(f"matrix bottom row must be (0, 0, 0, 1), got {tuple(values[12:])}")
-        return cls(m[:3, :3], m[:3, 3], orthonormal_tol)
+        _check_rotation(values[0:3] + values[4:7] + values[8:11], orthonormal_tol)
+        pose = object.__new__(cls)
+        pose.__dict__.update(rotation=m[:3, :3], translation=m[:3, 3])
+        return pose
 
     def matrix4(self) -> NDArray[np.float64]:
         m = np.eye(4)

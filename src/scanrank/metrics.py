@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoEvaluableQueriesError
-from .geometry import RigidTransform, ScanRecord
+from .geometry import RigidTransform
 from .retrieval import Database
 
 
@@ -44,11 +44,21 @@ class QueryOutcome:
         return self.ranked_ids_post if reranked else self.ranked_ids_pre
 
 
-def ground_truth_positives(query: ScanRecord, database: Database, radius: float) -> frozenset[str]:
-    """Ids of database scans within `radius` meters of the query location."""
+def ground_truth_positives(database: Database, distances: np.ndarray, radius: float) -> frozenset[str]:
+    """Ids of database scans within `radius` meters of a query.
+
+    `distances` are the query's geo distances to every row, in row order, as
+    `database.distances_to(query.geo_location)` returns them; a caller that
+    needs several radii computes them once. `process_queries` thresholds
+    the same array into the row masks whose `RankedList.first_rank` sets a
+    record's depth, so positives and depths agree bit for bit.
+    """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    within = np.flatnonzero(database.distances_to(query.geo_location) <= radius)
+    distances = np.asarray(distances)
+    if distances.shape != (len(database),):
+        raise ValueError(f"distances must have shape ({len(database)},), got {distances.shape}")
+    within = np.flatnonzero(distances <= radius)
     return frozenset(database.ids[i] for i in within)
 
 

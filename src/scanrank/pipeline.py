@@ -103,11 +103,15 @@ def _rerank(
         ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
         params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral, ransac=ransac)
         return rerank_rir(query, ranked, params, workers=workers)
-    n_qe = min(cfg.n_topk if cfg.n_qe is None else cfg.n_qe, len(ranked))
-    k = len(ranked.database)
+    n_qe = min(_n_qe(cfg), len(ranked))
+    # the new list holds as many rows as the old; its keys order the rest
     if strategy is Strategy.AVERAGE_QE:
-        return rerank_average_qe(query.global_descriptor, ranked, n_qe, k=k)
-    return rerank_alpha_qe(query.global_descriptor, ranked, n_qe, cfg.alpha, k=k)
+        return rerank_average_qe(query.global_descriptor, ranked, n_qe, k=len(ranked))
+    return rerank_alpha_qe(query.global_descriptor, ranked, n_qe, cfg.alpha, k=len(ranked))
+
+
+def _n_qe(cfg: RunConfig) -> int:
+    return cfg.n_topk if cfg.n_qe is None else cfg.n_qe
 
 
 def _record_depth(cfg: RunConfig, distances: np.ndarray, *ranked: RankedList) -> int:
@@ -118,9 +122,9 @@ def _record_depth(cfg: RunConfig, distances: np.ndarray, *ranked: RankedList) ->
     for r in cfg.radii:
         mask = distances <= r
         for ranking in ranked:
-            hits = np.flatnonzero(mask[ranking.rows])
-            if hits.size:
-                depth = max(depth, int(hits[0]) + 1)
+            rank = ranking.first_rank(mask)
+            if rank is not None:
+                depth = max(depth, rank)
     return min(depth, len(distances))
 
 
@@ -137,13 +141,19 @@ def process_queries(
     exactly when the first-positive rank is <= k, and D is at least every
     first-positive rank, so recall@k at any k and MRR read the same from
     the kept ids as from the full rankings.
+
+    Retrieval sorts only the first k0 = min(N, max(n_topk, max(recall_ks),
+    n_qe)) rows, all that a re-ranker reads; the lists extend to D through
+    their keys. `query_topk` runs once per query and the geo distances
+    once, for the positives at every radius, D and the top-1 distances.
     """
     db = build_index(database)
     workers = cfg.workers()
+    k0 = min(len(db), max(cfg.n_topk, *cfg.recall_ks, _n_qe(cfg)))
     outcomes: list[QueryOutcome] = []
     for qi, query in enumerate(queries):
         t0 = time.perf_counter()
-        ranked_pre = query_topk(db, query.global_descriptor, k=len(db))
+        ranked_pre = query_topk(db, query.global_descriptor, k=k0)
         t1 = time.perf_counter()
         try:
             ranked_post = _rerank(cfg, query, ranked_pre, qi, workers)
@@ -164,8 +174,8 @@ def process_queries(
             gt_rel = None
         t3 = time.perf_counter()
 
-        positives = {r: ground_truth_positives(query, db, r) for r in cfg.radii}
         distances = db.distances_to(query.geo_location)
+        positives = {r: ground_truth_positives(db, distances, r) for r in cfg.radii}
         depth = _record_depth(cfg, distances, ranked_pre, ranked_post)
         outcomes.append(QueryOutcome(
             query_id=query.id,

@@ -51,11 +51,11 @@ class RerankParams:
 
 def _reorder_prefix(ranked: RankedList, fitness: np.ndarray) -> RankedList:
     """Stable descending sort of the first len(fitness) rows by fitness; the
-    tail keeps its original order."""
+    tail keeps its original order, and the keys order the rows past it."""
     order = np.argsort(-np.asarray(fitness, dtype=np.float64), kind="stable")
     rows = ranked.rows.copy()
     rows[:order.size] = ranked.rows[order]
-    return RankedList(ranked.database, rows)
+    return RankedList(ranked.database, rows, ranked.keys)
 
 
 def rerank_spectral(query: ScanRecord, ranked: RankedList, params: RerankParams) -> RankedList:

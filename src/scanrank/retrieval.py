@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,18 +47,50 @@ class Database:
         return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
+def _stable_prefix(keys: np.ndarray, k: int) -> np.ndarray:
+    """The first k rows of `np.argsort(keys, kind="stable")`.
+
+    A partition at k finds the k-th key; only the rows with a key at or
+    below it are sorted: k rows, plus any further rows tied with it. k >= N,
+    or a k-th key that is not finite, sorts every row.
+    """
+    if k >= keys.size:
+        return np.argsort(keys, kind="stable")
+    kth = np.partition(keys, k - 1)[k - 1]
+    if not math.isfinite(kth):
+        return np.argsort(keys, kind="stable")[:k]
+    rows = np.flatnonzero(keys <= kth)  # ascending, so ties stay in row order
+    return rows[np.argsort(keys[rows], kind="stable")[:k]]
+
+
+def _rows_before(keys: np.ndarray, p: int) -> int:
+    """How many rows precede row p in the stable key order (NaN last)."""
+    kp = keys[p]
+    if np.isnan(kp):
+        return int(keys.size - np.count_nonzero(np.isnan(keys)) + np.count_nonzero(np.isnan(keys[:p])))
+    return int(np.count_nonzero(keys < kp) + np.count_nonzero(keys[:p] == kp))
+
+
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """A ranking over `database`: its rows, best first.
+    """A ranking over `database`: its rows, best first, and the keys that
+    order the rows it does not hold.
 
     `rows` is a read-only int64 array of distinct rows in
     [0, len(database)); rows out of range raise `UnresolvedCandidateError`.
-    A re-ranked list is only sorted over its re-scored prefix; rows past
-    the prefix keep their original order.
+    `keys` is a read-only float64 vector with one key per database row.
+    The invariant: `rows` is a permutation of the first `len(rows)` rows of
+    the stable key order (`np.argsort(keys, kind="stable")`), and every
+    later row follows that order. So a list may hold only a prefix of its
+    ranking: `top_rows(n)` and `top_ids(n)` extend past the held rows, and
+    `first_rank` counts ranks beyond them. A re-ranked list permutes a
+    prefix of the held rows and keeps the keys. The constructor checks the
+    keys' shape, not the invariant; `query_topk` and the re-rankers keep it.
     """
 
     database: Database
     rows: np.ndarray
+    keys: np.ndarray
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows)  # a copy: the caller's array stays its own
@@ -76,24 +109,58 @@ class RankedList:
             raise ValueError("rows must be unique within a ranked list")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        keys = np.asarray(self.keys, dtype=np.float64)
+        if keys.shape != (n,):
+            raise ValueError(f"ranked keys must have shape ({n},), got {keys.shape}")
+        if keys.flags.writeable:  # a read-only vector is shared, as re-rankers pass it on
+            keys = keys.copy()
+            keys.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
 
     def __len__(self) -> int:
         return self.rows.size
 
     @property
     def ids(self) -> tuple[str, ...]:
-        """Scan ids in ranked order."""
+        """Scan ids of the held rows, in ranked order."""
         return self.top_ids(self.rows.size)
 
+    def top_rows(self, n: int) -> np.ndarray:
+        """The first min(n, N) rows of the ranking, read-only; past the held
+        rows they follow the stable key order."""
+        if n <= self.rows.size:
+            return self.rows[:n]
+        # by the invariant the first len(rows) of these are the held rows
+        rows = np.concatenate((self.rows, _stable_prefix(self.keys, n)[self.rows.size:]))
+        rows.setflags(write=False)
+        return rows
+
     def top_ids(self, n: int) -> tuple[str, ...]:
-        """Ids of the first n rows, in ranked order."""
-        rows = self.rows[:n].tolist()
+        """Ids of the first min(n, N) rows, in ranked order."""
+        rows = self.top_rows(n).tolist()
         if len(rows) < 2:  # itemgetter of one row returns the bare id
             return tuple(self.database.ids[i] for i in rows)
         return operator.itemgetter(*rows)(self.database.ids)
 
+    def first_rank(self, mask: np.ndarray) -> int | None:
+        """1-based rank of the first row where the boolean row mask is set,
+        None if it is set nowhere.
+
+        The held rows are scanned. Past them, the first masked row p in
+        (key, row) order comes next, so its rank is counted without sorting:
+        1 + #{key < key_p} + #{j < p : key_j = key_p}.
+        """
+        hits = np.flatnonzero(mask[self.rows])
+        if hits.size:
+            return int(hits[0]) + 1
+        masked = np.flatnonzero(mask)
+        if not masked.size:
+            return None
+        p = masked[np.argsort(self.keys[masked], kind="stable")[0]]
+        return 1 + _rows_before(self.keys, p)
+
     def scans(self, n: int) -> list[ScanRecord]:
-        """Records of the first n rows, in ranked order."""
+        """Records of the first n held rows, in ranked order."""
         records = self.database.records
         return [records[i] for i in self.rows[:n].tolist()]
 
@@ -123,9 +190,11 @@ def query_topk(
 ) -> RankedList:
     """Exact top-k search, ascending by descriptor distance.
 
-    Ties resolve to database order (stable sort). k larger than the
-    database returns the full ranking. `metric` is `euclidean` (default)
-    or `cosine` (distance = 1 - cosine similarity).
+    The list holds exactly the first min(k, N) rows of
+    `np.argsort(distances, kind="stable")`, so ties resolve to database
+    order, and keeps every row's distance as its key: `top_ids(n)` and
+    `first_rank` read the full ranking past the first k rows. `metric` is
+    `euclidean` (default) or `cosine` (distance = 1 - cosine similarity).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -140,4 +209,5 @@ def query_topk(
         distances = 1.0 - (index.descriptors @ g) / norms
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    return RankedList(index, np.argsort(distances, kind="stable")[:k])
+    distances.setflags(write=False)
+    return RankedList(index, _stable_prefix(distances, k), distances)

@@ -215,7 +215,8 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
         query_sources[record.id] = database[place].id
 
     index = build_index(database)
-    truth = {q.id: ground_truth_positives(q, index, TRUTH_RADIUS) for q in queries}
+    truth = {q.id: ground_truth_positives(index, index.distances_to(q.geo_location), TRUTH_RADIUS)
+             for q in queries}
 
     return SyntheticWorld(database, queries, truth, landmark_ids, query_sources)
 

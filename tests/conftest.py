@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scanrank.geometry import RigidTransform, ScanRecord
+from scanrank.retrieval import RankedList
 
 
 def make_scan(
@@ -24,6 +25,15 @@ def make_scan(
     if geo is None:
         geo = np.zeros(3)
     return ScanRecord(scan_id, cloud, features, descriptor, pose, geo)
+
+
+def listed(database, rows) -> RankedList:
+    """A list holding `rows` in the given order. Its keys are the list
+    positions, and +inf past the list, so the rows it does not hold follow
+    in database order."""
+    keys = np.full(len(database), np.inf)
+    keys[rows] = np.arange(len(rows))
+    return RankedList(database, rows, keys)
 
 
 @pytest.fixture

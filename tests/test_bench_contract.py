@@ -49,6 +49,9 @@ def test_traced_stages_run_under_their_wrapped_names(bench, tmp_path):
         with workloads._span_cm(tracer, spans.PASS, (1, None)):
             outcomes = pipeline.process_queries(world.database, world.queries, cfg)
             pipeline.build_report(outcomes, cfg, len(world.database))
+            # query expansion re-retrieves, which must not open a query span
+            qe = RunConfig(strategy="alpha_qe", n_topk=3, n_qe=5, threads=2)
+            pipeline.process_queries(world.database, world.queries, qe)
         argv = ["run", "--manifest", str(manifest), "--strategy", "spectral",
                 "--n-topk", "2", "--threads", "2", "--out", str(tmp_path / "results.jsonl")]
         with workloads._span_cm(tracer, spans.PASS, (2, None)):
@@ -62,9 +65,14 @@ def test_traced_stages_run_under_their_wrapped_names(bench, tmp_path):
     assert spans.orphans(tracer.spans) == []
     # what the traced run computes from these spans raises no WrapperDrift,
     # and the self times add up (an integer identity, not a timing bound)
+    # three query runs: spectral and QE in memory, spectral through the CLI;
+    # each query is one `pipeline.query` span opened by its one retrieval
+    queries = 3 * len(world.queries)
+    assert sum(s.name == spans.QUERY for s in tracer.spans) == queries
     metrics, reconciles, count = layers.from_trace(
-        tracer.spans, required, 2 * len(world.queries), 1.0, workloads.RECONCILE_RTOL)
+        tracer.spans, required, queries, 1.0, workloads.RECONCILE_RTOL)
     assert reconciles[0], reconciles[1]
     assert count == len(tracer.spans)
+    assert metrics["retrieval.query_topk.calls"][0] == 1.0
     assert metrics["storage.bytes_written"][0] > 0
 

@@ -33,21 +33,41 @@ def outcome(query_id, ranked_post, positives, ranked_pre=None, pre_dist=0.0, pos
 
 
 class TestGroundTruthPositives:
+    @staticmethod
+    def positives(q, db, radius):
+        return ground_truth_positives(db, db.distances_to(q.geo_location), radius)
+
     def test_colocated_included(self):
         q = make_scan("q", [[0, 0, 0]], geo=np.zeros(3))
         db = build_index([make_scan("a", [[0, 0, 0]], geo=np.zeros(3))])
-        assert ground_truth_positives(q, db, 5.0) == {"a"}
+        assert self.positives(q, db, 5.0) == {"a"}
 
     def test_threshold_straddle(self):
         q = make_scan("q", [[0, 0, 0]], geo=np.zeros(3))
         db = build_index([make_scan("a", [[0, 0, 0]], geo=np.array([10.0, 0.0, 0.0]))])
-        assert ground_truth_positives(q, db, 5.0) == set()
-        assert ground_truth_positives(q, db, 20.0) == {"a"}
+        assert self.positives(q, db, 5.0) == set()
+        assert self.positives(q, db, 20.0) == {"a"}
+
+    def test_reads_the_given_distances(self):
+        db = build_index([make_scan(s, [[0, 0, 0]]) for s in ("a", "b", "c")])
+        assert ground_truth_positives(db, np.array([6.0, 5.0, 0.0]), 5.0) == {"b", "c"}
+
+    @pytest.mark.parametrize("distances", [np.zeros(2), np.zeros(4), np.zeros((3, 1))])
+    def test_rejects_distances_of_another_shape(self, distances):
+        db = build_index([make_scan(s, [[0, 0, 0]]) for s in ("a", "b", "c")])
+        with pytest.raises(ValueError, match=r"distances must have shape \(3,\)"):
+            ground_truth_positives(db, distances, 5.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_rejects_a_radius_that_is_not_positive(self, radius):
+        db = build_index([make_scan("a", [[0, 0, 0]])])
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            ground_truth_positives(db, np.zeros(1), radius)
 
     def test_empty_database(self):
         # an empty database fails loudly when indexed, before any positives
         with pytest.raises(EmptyDatabaseError):
-            ground_truth_positives(make_scan("q", [[0, 0, 0]]), build_index([]), 5.0)
+            ground_truth_positives(build_index([]), np.zeros(0), 5.0)
 
 
 class TestRecallAtK:

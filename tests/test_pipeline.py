@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scanrank import pipeline, rerank, spectral
+from scanrank import pipeline, rerank, retrieval, spectral
 from scanrank.errors import ScanrankError
 from scanrank.geometry import geo_distance
 from scanrank.metrics import first_positive_rank, ground_truth_positives, recall_at_k, success_rate
@@ -34,6 +34,10 @@ def noisy_world():
     return small_world(num_places=60, descriptor_noise_sigma=1.0)
 
 
+def positives_of(query, db, radius):
+    return ground_truth_positives(db, db.distances_to(query.geo_location), radius)
+
+
 def full_rankings(world, cfg):
     """Per query, the ids of the whole ranking before and after re-ranking:
     `query_topk` over every scan, then the strategy, as `process_queries`
@@ -54,7 +58,7 @@ def full_rankings(world, cfg):
 def rule_depth(cfg, query, db, full):
     """D = min(N, max(n_topk, max(recall_ks), every first-positive rank of
     both full rankings at every radius))."""
-    ranks = [first_positive_rank(ids, ground_truth_positives(query, db, r))
+    ranks = [first_positive_rank(ids, positives_of(query, db, r))
              for ids in full for r in cfg.radii]
     return min(len(db), max([cfg.n_topk, *cfg.recall_ks, *(k for k in ranks if k is not None)]))
 
@@ -111,7 +115,7 @@ class TestProcessQueries:
         for query, rec, full in zip(noisy_world.queries, records,
                                     full_rankings(noisy_world, cfg)):
             for r in cfg.radii:
-                positives = ground_truth_positives(query, db, r)
+                positives = positives_of(query, db, r)
                 assert set(rec["positives"][str(r)]) == positives
                 for key, ids in zip(("ranked_pre", "ranked_post"), full):
                     rank = first_positive_rank(ids, positives)
@@ -135,6 +139,51 @@ class TestProcessQueries:
         assert success_rate(outcomes) == 0.0
 
 
+@pytest.fixture(scope="module")
+def deep_world():
+    # noisy descriptors on a heavily aliased world: at n_topk 1 and recall
+    # k 1, first positives lie far past what retrieval sorts
+    return generate_world(WorldConfig(seed=3, descriptor_noise_sigma=3.0, alias_fraction=0.8))
+
+
+def comparable(report):
+    """A report's per-query records without their timings, and its summary."""
+    records = [{key: v for key, v in rec.items() if key != "timings"} for rec in report.per_query]
+    return json.dumps(records, sort_keys=True), json.dumps(report.summary, sort_keys=True)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("strategy,n_qe", [(s.value, None) for s in Strategy]
+                         + [(Strategy.ALPHA_QE.value, 6)])
+def test_partial_rankings_write_the_records_of_full_rankings(deep_world, strategy, n_qe, threads):
+    # retrieval sorts only k0 = max(n_topk, max(recall_ks), n_qe) rows; the
+    # records must equal those of a run whose retrievals sort every row
+    cfg = RunConfig(strategy=strategy, n_topk=1, n_qe=n_qe, recall_ks=(1,), threads=threads)
+    world, n = deep_world, len(deep_world.database)
+    k0 = max(1, n_qe or 1)
+    query_topk = retrieval.query_topk
+    asked = []
+
+    def spying(index, descriptor, k, metric="euclidean"):
+        asked.append(k)
+        return query_topk(index, descriptor, k, metric)
+
+    def every_row(index, descriptor, k, metric="euclidean"):
+        return query_topk(index, descriptor, len(index), metric)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "query_topk", spying)
+        report = build_report(process_queries(world.database, world.queries, cfg), cfg, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "query_topk", every_row)
+        m.setattr(rerank, "query_topk", every_row)
+        reference = build_report(process_queries(world.database, world.queries, cfg), cfg, n)
+    assert asked == [k0] * len(world.queries)  # one retrieval per query, k0 deep
+    assert comparable(report) == comparable(reference)
+    deepest = max(len(rec[key]) for rec in report.per_query for key in ("ranked_pre", "ranked_post"))
+    assert k0 < deepest < n
+
+
 class TestDistances:
     def test_positives_and_top1_distances_equal_geo_distance_loop(self):
         # 20,000 query-to-scan distances: a row norm that sums the three
@@ -150,7 +199,7 @@ class TestDistances:
             assert np.array_equal(database.distances_to(query.geo_location), expected)
             for radius in cfg.radii:
                 loop = {r.id for r, d in zip(world.database, expected) if d <= radius}
-                assert ground_truth_positives(query, database, radius) == loop
+                assert positives_of(query, database, radius) == loop
                 assert outcome.positives[radius] == loop
             top1 = database.ids.index(outcome.ranked_ids_pre[0])
             assert outcome.top1_distance_pre == expected[top1]

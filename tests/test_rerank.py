@@ -17,7 +17,7 @@ from scanrank.retrieval import RankedList, build_index, query_topk
 from scanrank.spectral import SpectralParams, score_candidates
 from scanrank.synthgen import WorldConfig, generate_world
 
-from conftest import make_scan
+from conftest import listed, make_scan
 from make_golden import WORLDS
 
 
@@ -33,12 +33,12 @@ def feature_world(rng, n_candidates=6, n_points=40, dim=6):
             f"c{i}", rng.random((n_points, 3)) * 20,
             features=rng.standard_normal((n_points, dim)), descriptor=np.zeros(4),
         ))
-    return query, RankedList(build_index(cands), np.arange(len(cands)))
+    return query, listed(build_index(cands), np.arange(len(cands)))
 
 
 def reversed_list(ranked):
     """The same candidates with the copy of the query last."""
-    return RankedList(ranked.database, ranked.rows[::-1])
+    return listed(ranked.database, ranked.rows[::-1])
 
 
 class TestRerankSpectral:
@@ -61,7 +61,7 @@ class TestRerankSpectral:
         query = make_scan("q", cloud, features=feats, descriptor=np.zeros(4))
         cands = [make_scan(f"c{i}", cloud, features=feats, descriptor=np.zeros(4))
                  for i in range(4)]
-        ranked = RankedList(build_index(cands), [2, 0, 3, 1])
+        ranked = listed(build_index(cands), [2, 0, 3, 1])
         out = rerank_spectral(query, ranked, RerankParams(n_topk=4))
         assert out.rows.tolist() == [2, 0, 3, 1]  # exact score ties keep input order
 
@@ -83,7 +83,7 @@ class TestRerankSpectral:
         _, ranked = feature_world(rng)
         partial = build_index(list(ranked.database.records[:-1]))
         with pytest.raises(UnresolvedCandidateError):
-            RankedList(partial, ranked.rows)
+            RankedList(partial, ranked.rows, np.zeros(len(partial)))
 
 
 @pytest.fixture(scope="module", params=[(w, seed) for w in WORLDS for seed in (0, 1)],
@@ -223,7 +223,7 @@ class TestAlphaQe:
         orth = np.array([0.0, 1.0, 0.0])
         other = np.array([0.9, 0.1, 0.0]) / np.linalg.norm([0.9, 0.1, 0.0])
         index = build_index(descriptor_db([orth, other]))
-        ranked = RankedList(index, [0])  # only the orthogonal candidate expands
+        ranked = listed(index, [0])  # only the orthogonal candidate expands
         out = rerank_alpha_qe(g, ranked, n_qe=1, alpha=3.0, k=2)
         baseline = query_topk(index, g, k=2, metric="cosine")
         assert np.array_equal(out.rows, baseline.rows)  # weight 0: expansion = g alone

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scanrank import geometry
 from scanrank.errors import (
     DimMismatchError,
     DuplicateIdError,
@@ -174,19 +175,64 @@ class TestScanArchive:
         with pytest.raises(IoError, match=f"^{bad}: .*{message}"):
             load_dataset(manifest)
 
-    def test_read_scan_builds_one_rigid_transform(self, tmp_path, monkeypatch):
-        path = tmp_path / "s0.sgv"
-        write_scan(path, one_point_scan())
-        built = []
-        post_init = RigidTransform.__post_init__
+    # pose corruptions of `one_point_scan`'s archive: (float index into the
+    # payload, value, the whole message after the path, or None when the
+    # pose stays valid), and how many rotation checks run before it fails
+    POSE_CASES = {
+        "valid": (None, None, None, 1),
+        "non_orthonormal": (15, 2.0, r"rotation not orthonormal: \|\|R\^T R - I\|\| = "
+                                     r"\d\.\d{3}e[+-]\d\d", 1),
+        "det_minus_one": (15 + 10, -1.0, r"rotation must have det \+1, got -1\.\d{12}", 1),
+        "bottom_row": (15 + 12, 5.0,
+                       re.escape("matrix bottom row must be (0, 0, 0, 1), got (5.0, 0.0, 0.0, 1.0)"),
+                       0),
+        "nan_rotation": (15 + 5, float("nan"), "matrix must be finite", 0),
+        "nan_translation": (15 + 7, float("nan"), "matrix must be finite", 0),
+    }
 
-        def counting(self, orthonormal_tol):
-            built.append(orthonormal_tol)
+    @pytest.mark.parametrize("case", list(POSE_CASES))
+    def test_read_scan_checks_the_pose_once(self, tmp_path, monkeypatch, case):
+        # one read runs the rotation checks at most once, on the floats it
+        # converted, and never re-validates the pose through __post_init__
+        index, value, message, checks = self.POSE_CASES[case]
+        path = tmp_path / "s0.sgv"
+        written = one_point_scan()
+        write_scan(path, written)
+        if index is not None:
+            data = bytearray(path.read_bytes())
+            at = 20 + 2 + 4 * index  # after the header and the id
+            data[at:at + 4] = struct.pack("<f", value)
+            path.write_bytes(bytes(data))
+        checked, post_inits = [], []
+        check, post_init = geometry._check_rotation, RigidTransform.__post_init__
+
+        def counting_check(r, orthonormal_tol):
+            checked.append(orthonormal_tol)
+            check(r, orthonormal_tol)
+
+        def counting_post_init(self, orthonormal_tol):
+            post_inits.append(orthonormal_tol)
             post_init(self, orthonormal_tol)
 
-        monkeypatch.setattr(RigidTransform, "__post_init__", counting)
-        read_scan(path)
-        assert built == [ROTATION_TOL_F32]
+        monkeypatch.setattr(geometry, "_check_rotation", counting_check)
+        monkeypatch.setattr(RigidTransform, "__post_init__", counting_post_init)
+        if message is None:
+            pose = read_scan(path).gt_pose
+            # both fields are read-only views of the one checked matrix
+            assert pose.rotation.base is pose.translation.base is not None
+            assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+            assert pose.rotation.tobytes() == written.gt_pose.rotation.tobytes()
+            assert pose.translation.tobytes() == written.gt_pose.translation.tobytes()
+        else:
+            with pytest.raises(IoError, match=f"^{re.escape(str(path))}: {message}$"):
+                read_scan(path)
+        assert checked == [ROTATION_TOL_F32] * checks
+        assert post_inits == []
+
+    @pytest.mark.parametrize("tol", [2 * ROTATION_TOL_F32, float("inf"), float("nan")])
+    def test_from_matrix_rejects_a_tolerance_above_f32(self, tol):
+        with pytest.raises(ValueError, match=f"orthonormal_tol {tol} exceeds {ROTATION_TOL_F32}"):
+            RigidTransform.from_matrix(np.eye(4), orthonormal_tol=tol)
 
     def test_archive_views_are_kept_without_copy(self, tmp_path):
         write_scan(tmp_path / "s0.sgv", one_point_scan())
