@@ -10,6 +10,7 @@ calling a wrapped name (say, building positives without
 """
 
 import contextlib
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -76,3 +77,16 @@ def test_traced_stages_run_under_their_wrapped_names(bench, tmp_path):
     assert metrics["retrieval.query_topk.calls"][0] == 1.0
     assert metrics["storage.bytes_written"][0] > 0
 
+
+def test_eigvalsh_spot_check_passes_on_the_pool_path(bench, monkeypatch, tmp_path):
+    # the benchmark's only call of score_candidates with workers > 1: its
+    # s* against eigvalsh of build_compatibility_matrix, on two threads
+    # even on a one-CPU host
+    _, _, workloads = bench
+    monkeypatch.setattr(workloads, "nproc", lambda: 2)
+    world = synthgen.generate_world(synthgen.WorldConfig(
+        seed=3, num_places=12, num_queries=4, points_per_scan=32))
+    wl = dataclasses.replace(workloads.WORKLOADS["sgv_k20"], threads=2)
+    ctx = workloads.Context(wl, world_seed=3, run_seed=3, workdir=tmp_path, world=world)
+    assert ctx.threads == 2
+    assert workloads.eigvalsh_spot_check(ctx) <= workloads.EIG_RTOL

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scanrank import spectral
 from scanrank.errors import DimMismatchError, EmptyScanError
 from scanrank.matching import (
     CorrespondenceSet,
@@ -177,6 +178,37 @@ class TestNnSquaredDistances:
             assert np.array_equal(d2, nn_squared_distances(qf, stack[lo:hi].copy()))
             corrs = match_features(query, feature_scan("c", stack[lo:hi]), n_max=n)
             assert np.array_equal(corrs.candidate_indices, d2.argmin(axis=1))
+
+    @pytest.mark.parametrize("spread", [3, 1])
+    @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
+    def test_one_call_over_all_candidates_matches_each_alone(self, rng, monkeypatch, b, n, big_n,
+                                                             dim, spread):
+        # score_candidates' one NN GEMM over every candidate's features picks
+        # the neighbours and mutual flags of match_features on each candidate
+        # alone; the distance bits may differ, the choices must not. Point
+        # counts run big_n .. big_n + spread - 1: mixed, or all equal
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen[name] = args
+                return fn(*args)
+            monkeypatch.setattr(spectral, name, wrapped)
+
+        spy("_compat_values", spectral._compat_values)
+        spy("_power_iteration_batch", spectral._power_iteration_batch)
+        query = make_scan("q", rng.random((n, 3)) * 20, features=rng.standard_normal((n, dim)))
+        cands = [make_scan(f"c{i}", rng.random((m, 3)) * 20, features=rng.standard_normal((m, dim)))
+                 for i, m in enumerate(big_n + np.arange(b) % spread)]
+        for mutual in (False, True):
+            spectral.score_candidates(query, cands, spectral.SpectralParams(mutual=mutual))
+            for k, cand in enumerate(cands):
+                corrs = match_features(query, cand, n_max=1000, mutual=mutual)
+                if mutual:
+                    keep = seen["_power_iteration_batch"][1][k]
+                    assert np.flatnonzero(keep).tolist() == corrs.query_indices.tolist()
+                else:  # the clouds' points are distinct, so points identify neighbours
+                    assert np.array_equal(seen["_compat_values"][0][1 + k], corrs.candidate_points)
 
     def test_matches_direct_differences(self, rng):
         query = rng.standard_normal((7, 5))

@@ -97,6 +97,21 @@ class TestRankedList:
         with pytest.raises(ValueError, match="unique"):
             RankedList(build_index(db_of([[0.0], [1.0], [2.0]])), rows, np.zeros(3))
 
+    def test_duplicates_are_found_in_short_and_full_lists(self, rng):
+        # the check looks at the held rows only, whatever the database size
+        index = build_index(db_of(rng.standard_normal((50, 2))))
+        keys = np.zeros(50)
+        with pytest.raises(ValueError, match="rows must be unique within a ranked list"):
+            RankedList(index, [17, 17], keys)
+        RankedList(index, [49, 3], keys)
+        full = rng.permutation(50)
+        RankedList(index, full, keys)
+        for i, j in ((0, 49), (10, 11), (48, 49)):
+            bad = full.copy()
+            bad[j] = bad[i]
+            with pytest.raises(ValueError, match="rows must be unique within a ranked list"):
+                RankedList(index, bad, keys)
+
     @pytest.mark.parametrize("rows", [[0, 3], [-1], [0, 1, 2, 3], [7]])
     def test_rejects_rows_outside_the_database(self, rows):
         with pytest.raises(UnresolvedCandidateError, match="outside the 3-scan database"):

@@ -118,8 +118,8 @@ class TestBuildCompatibilityMatrix:
         x = offset + rng.uniform(-30.0, 30.0, (n, 3))
         y = x + rng.standard_normal((b, n, 3)) * 0.2
         y[:, ::3] = offset + rng.uniform(-30.0, 30.0, y[:, ::3].shape)
+        stack = spectral._compat_values(laid_out(np.concatenate([x[None], y]), layout), 0.5)
         x, y = laid_out(x, layout), laid_out(y, layout)
-        stack = spectral._compat_values(spectral._pairwise_distances(x, 0.5), y, 0.5)
         built = [build_compatibility_matrix(corr_set(x, yi), 0.5).values for yi in y]
         for m in list(stack) + built:
             assert np.array_equal(m, m.T)
@@ -148,6 +148,70 @@ class TestBuildCompatibilityMatrix:
             assert np.all(m2 >= m1)
             assert top_eigenvalue(CompatibilityMatrix(m2, 1.0)) >= \
                 top_eigenvalue(CompatibilityMatrix(m1, 0.5)) - 1e-9
+
+    @pytest.mark.parametrize("b, n", [(1, 1), (3, 13), (20, 96), (4, 199)])
+    def test_query_slice_and_candidate_slices_are_built_as_alone(self, rng, b, n):
+        # the one distance stack: slice 0 holds the query's distances, the
+        # rest the candidates', each bitwise as if built without the others
+        offset = rng.uniform(-1e3, 1e3, 3)
+        x = offset + rng.uniform(-30.0, 30.0, (n, 3))
+        y = x + rng.standard_normal((b, n, 3))
+        d = spectral._pairwise_distances(np.concatenate([x[None], y]), 0.5)
+        assert np.array_equal(d[0], spectral._pairwise_distances(x, 0.5))
+        assert np.array_equal(d[1:], spectral._pairwise_distances(y, 0.5))
+
+
+@st.composite
+def outer_sum_cases(draw):
+    """Squared norms over 1-3 leading axes and n = 1..300, from 0 up to
+    1e150 (subnormals included), laid out contiguous, strided or as the
+    diagonal of a matrix stack."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 300))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (n,)
+    sq = r.random(shape) * 10.0 ** r.integers(-320, 151, shape)
+    sq[r.random(shape) < draw(st.floats(0.0, 0.5))] = 0.0
+    layout = draw(st.sampled_from(["contiguous", "strided", "diagonal"]))
+    if layout == "strided":
+        wide = np.zeros(lead + (2 * n,))
+        wide[..., ::2] = sq
+        sq = wide[..., ::2]
+    elif layout == "diagonal":
+        square = np.zeros(shape + (n,))
+        np.einsum("...ii->...i", square)[...] = sq
+        sq = np.diagonal(square, axis1=-2, axis2=-1)
+    return sq
+
+
+@settings(max_examples=120, deadline=None)
+@given(sq=outer_sum_cases())
+def test_outer_sum_gemm_equals_the_broadcast_sum_bitwise(sq):
+    expected = sq[..., :, None] + sq[..., None, :]
+    assert np.array_equal(spectral._outer_sum(sq), expected)
+
+
+class TestSweepNonzeroRows:
+    """Order mode's non-zero rows, from float32 row sums of the sweep copy."""
+
+    def test_equal_float64_row_sums_on_the_smallest_entries(self, rng):
+        tiny = 2.0 ** -53  # the smallest non-zero compatibility entry
+        for _ in range(20):
+            n = int(rng.integers(1, 120))
+            m = np.triu(rng.random((4, n, n)), 1)
+            m[0] = (m[0] < rng.random()) * tiny  # sparse, every entry 2^-53
+            dead = rng.random(n) < 0.3  # all-zero rows and columns
+            m[0][dead] = 0.0
+            m[0][:, dead] = 0.0
+            m[1][rng.random((n, n)) < 0.5] = tiny
+            m[2] = 0.0
+            m = m + np.swapaxes(m, 1, 2)
+            keep = rng.random((4, n)) < 0.7
+            keep[:, 0] = True
+            m[3] *= keep[3][:, None] & keep[3][None, :]  # a mutual candidate's dropped pairs
+            nonzero = spectral._sweep_operands(m, keep)[3]
+            assert np.array_equal(nonzero, m.sum(axis=2) > 0)
+            assert not nonzero[2].any() and not nonzero[0][dead].any()
 
 
 class TestPowerIterate:
@@ -461,8 +525,8 @@ class TestBatchedScoring:
         stacks = []
         compat = spectral._compat_values
 
-        def spy(dx, y, d_thr):
-            stacks.append(compat(dx, y, d_thr))
+        def spy(points, d_thr):
+            stacks.append(compat(points, d_thr))
             return stacks[-1]
 
         monkeypatch.setattr(spectral, "_compat_values", spy)
@@ -591,11 +655,11 @@ def bracket_cases(draw):
 
 def sweep_bracket(m, keep, steps):
     """The bracket of M from the float32 step after `steps` normalised steps."""
-    m32, u, _ = spectral._sweep_operands(m[None], keep[None])
+    m32, u, _, nonzero = spectral._sweep_operands(m[None], keep[None])
     for _ in range(steps):
         u = np.matmul(m32, u)
         u /= np.linalg.norm(u)
-    lo, hi = spectral._bracket(u, np.matmul(m32, u), m.any(axis=1)[None])
+    lo, hi = spectral._bracket(u, np.matmul(m32, u), nonzero)
     return lo[0], hi[0]
 
 
