@@ -59,22 +59,22 @@ def sample_query_points(scan: ScanRecord, n_max: int) -> np.ndarray:
 
 
 def nn_squared_distances(query_feats: np.ndarray, candidate_feats: np.ndarray) -> np.ndarray:
-    """Squared feature distances (n, N) between n query and N candidate features.
+    """Squared feature distances (..., n, N) between n query features and
+    the N features of each candidate, (N, d) for one or (b, N, d) for b.
 
-    |q|^2 + |c|^2 - 2 q.c as one GEMM over augmented vectors, with no
-    broadcast adds: u_i = [|q_i|^2, 1, -2 q_i] against w_j = [1, |c_j|^2, c_j].
-    Scaling by -2 and by 1 is exact; entries may dip a hair below zero, and
-    their rounding depends on the kernel's summation order, so the bits of a
-    candidate's columns may differ between a call on it alone and a call on
-    many candidates side by side. The nearest neighbours did not: none of
-    384,000 choices differed on the default and hard worlds (seeds 0 and 1,
-    20 candidates per query). `score_candidates` makes one call per query,
-    over all its candidates' features at once. One GEMM per candidate used
-    to be kept because a larger GEMM wakes a threaded BLAS's worker
-    threads, whose spin-wait once slowed the numpy operations after it. With
-    OpenBLAS at its default thread count on 2 vCPUs, the one call per query
-    still took `score_candidates` at 20 candidates from 3.21 to 2.57 ms per
-    query (medians of 10 interleaved runs, faster in all 10).
+    |q|^2 + |c|^2 - 2 q.c as one GEMM per candidate over augmented vectors,
+    with no broadcast adds: u_i = [|q_i|^2, 1, -2 q_i] against
+    w_j = [1, |c_j|^2, c_j]. Scaling by -2 and by 1 is exact; entries may dip
+    a hair below zero. A stack of candidates is one matmul call that runs
+    each candidate's GEMM at the shape of a call on it alone, so its slice
+    has the bits of that call, whatever shares the stack. (One GEMM over
+    many candidates' features side by side was not: the kernel rounds edge
+    columns apart, so exactly equal features got unequal distances and a
+    tie's winner depended on the batch.) Each GEMM stays one candidate's
+    size, so a threaded BLAS gains no reason to wake its worker threads:
+    with OpenBLAS at its default thread count on 2 vCPUs, `score_candidates` at 20
+    candidates took 3.83 against 4.56 ms per query for one GEMM and two
+    broadcast adds per candidate (medians of 10 interleaved runs).
     """
     q = np.asarray(query_feats, dtype=np.float64)
     c = np.asarray(candidate_feats, dtype=np.float64)
@@ -82,21 +82,19 @@ def nn_squared_distances(query_feats: np.ndarray, candidate_feats: np.ndarray) -
     u[:, 0] = np.einsum("ij,ij->i", q, q)
     u[:, 1] = 1.0
     np.multiply(q, -2.0, out=u[:, 2:])
-    w = np.empty((c.shape[0], c.shape[1] + 2))
-    w[:, 0] = 1.0
-    w[:, 1] = np.einsum("ij,ij->i", c, c)
-    w[:, 2:] = c
-    return u @ w.T
+    w = np.empty(c.shape[:-2] + (c.shape[-1] + 2, c.shape[-2]))  # w_j in column j
+    w[..., 0, :] = 1.0
+    w[..., 1, :] = np.einsum("...ij,...ij->...i", c, c)
+    w[..., 2:, :] = np.swapaxes(c, -1, -2)
+    return np.matmul(u, w)
 
 
 def mutual_pairs(d2: np.ndarray, nn: np.ndarray) -> np.ndarray:
-    """Keep mask (..., n): row i of d2 (n, N) keeps (i, nn[..., i]) when that
-    column's nearest row is i, ties going to the first. nn is d2.argmin(axis=1),
-    or (b, n) for b candidates side by side in d2's columns, each row's argmin
-    within its candidate's column segment. Never empty per candidate: a
-    segment's first smallest entry in row-major order is the first smallest
-    of its row and column."""
-    return d2.argmin(axis=0)[nn] == np.arange(d2.shape[0])
+    """Keep mask (..., n): row i of d2 (..., n, N) keeps (i, nn[..., i]),
+    nn = d2.argmin(axis=-1), when nn[..., i]'s nearest row is i, ties going
+    to the first. Never empty: d2's first smallest entry in row-major order
+    is the first smallest of its row and column."""
+    return np.take_along_axis(d2.argmin(axis=-2), nn, axis=-1) == np.arange(d2.shape[-2])
 
 
 def match_features(

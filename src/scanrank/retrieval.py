@@ -103,8 +103,9 @@ class RankedList:
         if rows.min() < 0 or rows.max() >= n:
             bad = rows[(rows < 0) | (rows >= n)]
             raise UnresolvedCandidateError(f"ranked rows {bad.tolist()} outside the {n}-scan database")
-        ordered = np.sort(rows)  # costs k log k, where an N-row mask costs N
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+        seen = np.zeros(n, dtype=bool)
+        seen[rows] = True
+        if np.count_nonzero(seen) != rows.size:
             raise ValueError("rows must be unique within a ranked list")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)

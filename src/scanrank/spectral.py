@@ -9,20 +9,22 @@ sigma = 1/4, so (M + sigma*I)v >= sigma*v for the non-negative iterates. A
 sweep whose float32 step stalls (near-bipartite M, where the step ratio
 (lambda - sigma) / (lambda + sigma) is close to 1) hands over to the polish
 early. By default a candidate's score is bitwise independent of the batch
-it shares. The re-ranker needs only the order of the scores, so it scores
-in order mode (`score_candidates(..., order=True)`): each candidate's
-float32 sweep stops once bounds on lambda_1 from a step it already takes
-prove its rank in the batch. Its scores are then certified lower bounds on
-lambda_1, not s* converged to `tol`, and they depend on which candidates
-share the batch; candidates left unproven after `max_iters` (near and exact
-ties) get the default s*. `score_candidates` is the one re-ranking path.
-Per query it makes one NN GEMM over all candidates' features and one
-distance stack, the query's distances in slice 0 and every candidate's
-after it, from which `_compat_values` builds the compatibility stack; with
-mutual matching, a candidate's dropped pairs get zero rows and columns in
-that stack and zero start entries. `build_compatibility_matrix`,
-`CompatibilityMatrix` and `power_iterate` are the one-matrix API, and the
-oracle of the tests; the one matrix is built by the same `_compat_values`.
+it shares: every stage computes each candidate's slice at the shape of a
+call on it alone, its NN GEMM included. The re-ranker needs only the order
+of the scores, so it scores in order mode (`score_candidates(...,
+order=True)`): each candidate's float32 sweep stops once bounds on lambda_1
+from a step it already takes prove its rank in the batch. Its scores are
+then certified lower bounds on lambda_1, not s* converged to `tol`, and
+they depend on which candidates share the batch; candidates left unproven
+after `max_iters` (near and exact ties) get the default s*.
+`score_candidates` is the one re-ranking path. Per query it makes one
+matmul call of one NN GEMM per candidate and one distance stack, the
+query's distances in slice 0 and every candidate's after it, from which
+`_compat_values` builds the compatibility stack; with mutual matching, a
+candidate's dropped pairs get zero rows and columns in that stack and zero
+start entries. `build_compatibility_matrix`, `CompatibilityMatrix` and
+`power_iterate` are the one-matrix API, and the oracle of the tests; the
+one matrix is built by the same `_compat_values`.
 """
 
 from __future__ import annotations
@@ -290,20 +292,9 @@ def _power_iteration_batch(
 
 
 def _sweep_operands(m_stack, keep):
-    """The float32 sweep's M + sigma*I, its start vectors, its block length
-    and the non-zero rows (b, n) of M.
-
-    The non-zero rows come from float32 row sums of the copy, a matvec with
-    ones taken before sigma is written (26 us on a 20 x 96 x 96 stack,
-    against 37 for the float64 matvec and 79 for `sum(axis=2)`). They are
-    exact under `_bracket`'s condition that every non-zero entry is at
-    least float32's smallest normal number (compatibility entries are 0 or
-    at least 2^-53): such an entry stays non-zero in float32, and a sum of
-    non-negative terms is 0 only if every term is.
-    """
+    """The float32 sweep's M + sigma*I, its start vectors and its block length."""
     n = m_stack.shape[1]
     m32 = m_stack.astype(np.float32)
-    nonzero = np.matmul(m32, np.ones((n, 1), dtype=np.float32))[..., 0] > 0
     m32[:, np.arange(n), np.arange(n)] = _SHIFT  # the shift, in M's zero diagonal
     # Entries of M + sigma*I lie in [0, 1], so a step grows a unit vector's
     # norm by at most n and a block of s steps by n^s. Its squared norm must
@@ -313,7 +304,7 @@ def _sweep_operands(m_stack, keep):
     log_max = np.log(np.finfo(np.float32).max)
     block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
     start = (keep / np.sqrt(keep.sum(axis=1, keepdims=True))).astype(np.float32)[..., None]
-    return m32, start, block, nonzero
+    return m32, start, block
 
 
 def _tol_mode(m_stack, keep, tol, max_iters):
@@ -333,7 +324,7 @@ def _tol_mode(m_stack, keep, tol, max_iters):
     independent of the batch it shares.
     """
     budget = np.full(m_stack.shape[0], max_iters, dtype=np.int64)
-    m32, start, block, _ = _sweep_operands(m_stack, keep)
+    m32, start, block = _sweep_operands(m_stack, keep)
     v32, k32, _ = _iterate(m32, start, budget, max(tol, _F32_STEP_FLOOR), block, np.matmul,
                            count_fired=0, owned=True, stall_window=_STALL_WINDOW)
     v = v32.astype(np.float64)
@@ -409,8 +400,9 @@ def _order_mode(m_stack, keep, tol, max_iters):
     counts every matvec, the fallbacks' included; `converged` is True for a
     certified slice.
     """
-    b = m_stack.shape[0]
-    m32, start, block, nonzero = _sweep_operands(m_stack, keep)
+    b, n = m_stack.shape[0], m_stack.shape[1]
+    m32, start, block = _sweep_operands(m_stack, keep)
+    nonzero = np.matmul(m_stack, np.ones(n)) > 0  # a non-negative row sums to 0 only if zero
     lo, hi = np.full(b, -np.inf), np.full(b, np.inf)
     certified = np.zeros(b, dtype=bool)
 
@@ -502,28 +494,27 @@ def score_candidates(
     if not candidates:
         return np.zeros(0), n
 
-    # One NN GEMM over every candidate's features side by side: candidate
-    # k's neighbours come from its own column segment, and nn indexes the
-    # candidates' stacked points. Equal point counts, the usual case, take
-    # one argmin over the (n, b, N) view (98 us against 213 for 20 argmins).
-    sizes = np.array([cand.cloud.shape[0] for cand in candidates])
-    starts = np.cumsum(sizes) - sizes
-    d2 = nn_squared_distances(query.local_features[sampled],
-                              np.concatenate([cand.local_features for cand in candidates]))
-    if np.all(sizes == sizes[0]):
-        nn = d2.reshape(n, len(candidates), -1).argmin(axis=2).T
-    else:
-        nn = np.stack([d2[:, lo:lo + size].argmin(axis=1) for lo, size in zip(starts, sizes)])
-    nn += starts[:, None]
-    keep = mutual_pairs(d2, nn) if params.mutual else np.ones(nn.shape, dtype=bool)
-    # Slice 0 holds the query's sampled points, slice 1 + k candidate k's
-    # matches. Only the compatibility step is split across threads: it is a
-    # few large numpy operations that release the GIL. The power iteration
-    # (a loop of small operations) holds the GIL most of the time, so it
-    # runs here, on the calling thread.
+    # One NN GEMM per candidate, at its shape alone, and one matmul call for
+    # all candidates of a point count. Slice 0 of `points` holds the query's
+    # sampled points, slice 1 + k candidate k's matches. Only the
+    # compatibility step is split across threads: it is a few large numpy
+    # operations that release the GIL. The power iteration (a loop of small
+    # operations) holds the GIL most of the time, so it runs here, on the
+    # calling thread.
+    query_feats = query.local_features[sampled]
     points = np.empty((len(candidates) + 1, n, 3))
     points[0] = query.cloud[sampled]
-    points[1:] = np.concatenate([cand.cloud for cand in candidates])[nn]
+    keep = np.ones((len(candidates), n), dtype=bool)
+    sizes = np.array([cand.cloud.shape[0] for cand in candidates])
+    for size in set(sizes.tolist()):  # not np.unique: its first call in a process took 10-16 ms
+        group = np.flatnonzero(sizes == size)
+        feats = np.stack([candidates[k].local_features for k in group])
+        d2 = nn_squared_distances(query_feats, feats)
+        nn = d2.argmin(axis=2)
+        clouds = np.stack([candidates[k].cloud for k in group])
+        points[1 + group] = clouds[np.arange(group.size)[:, None], nn]
+        if params.mutual:
+            keep[group] = mutual_pairs(d2, nn)
     workers = min(max(1, workers), len(candidates))
     if workers == 1:
         m_stack = _compat_values(points, params.d_thr)

@@ -179,14 +179,17 @@ class TestNnSquaredDistances:
             corrs = match_features(query, feature_scan("c", stack[lo:hi]), n_max=n)
             assert np.array_equal(corrs.candidate_indices, d2.argmin(axis=1))
 
+    @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("spread", [3, 1])
     @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
-    def test_one_call_over_all_candidates_matches_each_alone(self, rng, monkeypatch, b, n, big_n,
-                                                             dim, spread):
-        # score_candidates' one NN GEMM over every candidate's features picks
-        # the neighbours and mutual flags of match_features on each candidate
-        # alone; the distance bits may differ, the choices must not. Point
-        # counts run big_n .. big_n + spread - 1: mixed, or all equal
+    def test_score_candidates_matches_each_candidate_alone(self, rng, monkeypatch, b, n, big_n,
+                                                           dim, spread, duplicated):
+        # score_candidates' batched NN picks the neighbours and mutual flags of
+        # match_features on each candidate alone. Point counts run big_n ..
+        # big_n + spread - 1: mixed, or all equal. With `duplicated`, every
+        # candidate holds the same features, each odd row a copy of the row
+        # before it, and the query holds copies of them, so rows and columns
+        # tie exactly, within a candidate and across the batch
         seen = {}
 
         def spy(name, fn):
@@ -197,18 +200,51 @@ class TestNnSquaredDistances:
 
         spy("_compat_values", spectral._compat_values)
         spy("_power_iteration_batch", spectral._power_iteration_batch)
-        query = make_scan("q", rng.random((n, 3)) * 20, features=rng.standard_normal((n, dim)))
-        cands = [make_scan(f"c{i}", rng.random((m, 3)) * 20, features=rng.standard_normal((m, dim)))
-                 for i, m in enumerate(big_n + np.arange(b) % spread)]
-        for mutual in (False, True):
-            spectral.score_candidates(query, cands, spectral.SpectralParams(mutual=mutual))
-            for k, cand in enumerate(cands):
-                corrs = match_features(query, cand, n_max=1000, mutual=mutual)
-                if mutual:
-                    keep = seen["_power_iteration_batch"][1][k]
-                    assert np.flatnonzero(keep).tolist() == corrs.query_indices.tolist()
-                else:  # the clouds' points are distinct, so points identify neighbours
-                    assert np.array_equal(seen["_compat_values"][0][1 + k], corrs.candidate_points)
+        sizes = big_n + np.arange(b) % spread
+        for _ in range(4):  # a tie decided apart shows in some draws only
+            if duplicated:
+                pool = rng.standard_normal((big_n + spread, dim))
+                pool[1::2] = pool[0::2][:pool[1::2].shape[0]]
+                query_feats = pool[rng.integers(0, big_n, n)]
+                query_feats[::2] += 0.1 * rng.standard_normal(query_feats[::2].shape)
+                cand_feats = [pool[:m] for m in sizes]
+            else:
+                query_feats = rng.standard_normal((n, dim))
+                cand_feats = [rng.standard_normal((m, dim)) for m in sizes]
+            query = make_scan("q", rng.random((n, 3)) * 20, features=query_feats)
+            cands = [make_scan(f"c{i}", rng.random((feats.shape[0], 3)) * 20, features=feats)
+                     for i, feats in enumerate(cand_feats)]
+            for mutual in (False, True):
+                spectral.score_candidates(query, cands, spectral.SpectralParams(mutual=mutual))
+                for k, cand in enumerate(cands):
+                    corrs = match_features(query, cand, n_max=1000, mutual=mutual)
+                    if mutual:
+                        keep = seen["_power_iteration_batch"][1][k]
+                        assert np.flatnonzero(keep).tolist() == corrs.query_indices.tolist()
+                    else:  # the clouds' points are distinct, so points identify neighbours
+                        points = seen["_compat_values"][0]
+                        assert np.array_equal(points[1 + k], corrs.candidate_points)
+
+    @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16),
+                                                  (3, 1, 1, 4), (2, 5, 1, 3)])
+    def test_stacked_slices_have_the_bits_of_each_candidate_alone(self, rng, b, n, big_n, dim):
+        # a slice of one stacked call is the call on its candidate alone, bit
+        # for bit, and so are its mutual flags; exactly equal features
+        # (every odd row a copy of the row before it, the query built from
+        # copies) tie within a candidate and across the stack
+        pool = rng.standard_normal((big_n + 1, dim))
+        pool[1::2] = pool[0::2][:pool[1::2].shape[0]]
+        query = pool[rng.integers(0, big_n, n)]
+        query[::2] += 0.1 * rng.standard_normal(query[::2].shape)
+        stack = np.stack([pool[:big_n]] * (b // 2) + [rng.standard_normal((big_n, dim))
+                                                      for _ in range(b - b // 2)])
+        d2 = nn_squared_distances(query, stack)
+        nn = d2.argmin(axis=2)
+        keep = mutual_pairs(d2, nn)
+        for k in range(b):
+            alone = nn_squared_distances(query, stack[k])
+            assert np.array_equal(d2[k], alone)
+            assert np.array_equal(keep[k], mutual_pairs(alone, alone.argmin(axis=1)))
 
     def test_matches_direct_differences(self, rng):
         query = rng.standard_normal((7, 5))

@@ -92,25 +92,15 @@ class TestRankedList:
         with pytest.raises(ValueError):
             rl.rows[0] = 0
 
-    @pytest.mark.parametrize("rows", [[0, 0], [2, 1, 0, 2], [1, 2, 1]])
-    def test_rejects_duplicate_rows(self, rows):
-        with pytest.raises(ValueError, match="unique"):
-            RankedList(build_index(db_of([[0.0], [1.0], [2.0]])), rows, np.zeros(3))
-
-    def test_duplicates_are_found_in_short_and_full_lists(self, rng):
-        # the check looks at the held rows only, whatever the database size
-        index = build_index(db_of(rng.standard_normal((50, 2))))
-        keys = np.zeros(50)
+    @pytest.mark.parametrize("n, rows", [
+        (3, [0, 0]), (3, [2, 1, 0, 2]), (3, [1, 2, 1]), (50, [17, 17]),
+        # a full list of a 50-row database with one row repeated
+        (50, [49] + list(range(1, 49)) + [49]), (50, list(range(11)) + list(range(10, 49))),
+        (50, list(range(49)) + [48]),
+    ])
+    def test_rejects_duplicate_rows(self, n, rows):
         with pytest.raises(ValueError, match="rows must be unique within a ranked list"):
-            RankedList(index, [17, 17], keys)
-        RankedList(index, [49, 3], keys)
-        full = rng.permutation(50)
-        RankedList(index, full, keys)
-        for i, j in ((0, 49), (10, 11), (48, 49)):
-            bad = full.copy()
-            bad[j] = bad[i]
-            with pytest.raises(ValueError, match="rows must be unique within a ranked list"):
-                RankedList(index, bad, keys)
+            RankedList(build_index(db_of(np.arange(n, dtype=float)[:, None])), rows, np.zeros(n))
 
     @pytest.mark.parametrize("rows", [[0, 3], [-1], [0, 1, 2, 3], [7]])
     def test_rejects_rows_outside_the_database(self, rows):

@@ -191,29 +191,6 @@ def test_outer_sum_gemm_equals_the_broadcast_sum_bitwise(sq):
     assert np.array_equal(spectral._outer_sum(sq), expected)
 
 
-class TestSweepNonzeroRows:
-    """Order mode's non-zero rows, from float32 row sums of the sweep copy."""
-
-    def test_equal_float64_row_sums_on_the_smallest_entries(self, rng):
-        tiny = 2.0 ** -53  # the smallest non-zero compatibility entry
-        for _ in range(20):
-            n = int(rng.integers(1, 120))
-            m = np.triu(rng.random((4, n, n)), 1)
-            m[0] = (m[0] < rng.random()) * tiny  # sparse, every entry 2^-53
-            dead = rng.random(n) < 0.3  # all-zero rows and columns
-            m[0][dead] = 0.0
-            m[0][:, dead] = 0.0
-            m[1][rng.random((n, n)) < 0.5] = tiny
-            m[2] = 0.0
-            m = m + np.swapaxes(m, 1, 2)
-            keep = rng.random((4, n)) < 0.7
-            keep[:, 0] = True
-            m[3] *= keep[3][:, None] & keep[3][None, :]  # a mutual candidate's dropped pairs
-            nonzero = spectral._sweep_operands(m, keep)[3]
-            assert np.array_equal(nonzero, m.sum(axis=2) > 0)
-            assert not nonzero[2].any() and not nonzero[0][dead].any()
-
-
 class TestPowerIterate:
     def test_complete_graph_eigenpair(self):
         values = np.ones((4, 4)) - np.eye(4)
@@ -511,15 +488,32 @@ class TestBatchedScoring:
         solo = np.array([score_candidates(query, [c])[0][0] for c in cands])
         assert np.array_equal(batch, solo)
 
+    @pytest.mark.parametrize("equal_features, mutual", [(False, False), (True, False), (True, True)])
     @pytest.mark.parametrize("b, n, big_n, dim", [(20, 96, 96, 16), (22, 13, 13, 8), (15, 73, 42, 16)])
-    def test_batch_of_mixed_point_counts_equals_individual_bitwise(self, rng, b, n, big_n, dim):
+    def test_batch_of_mixed_point_counts_equals_individual_bitwise(self, rng, b, n, big_n, dim,
+                                                                   equal_features, mutual):
         # one batch mixes candidate point counts big_n .. big_n + 2, most of
-        # them off the BLAS kernel width
-        query = identity_feature_scan("q", rng, n=n, dim=dim)
-        cands = [identity_feature_scan(f"c{i}", rng, n=big_n + i % 3, dim=dim) for i in range(b)]
-        batch, _ = score_candidates(query, cands)
-        solo = np.array([score_candidates(query, [c])[0][0] for c in cands])
-        assert np.array_equal(batch, solo)
+        # them off the BLAS kernel width. With `equal_features` the NN step
+        # ties exactly: every candidate holds the same features, each odd row
+        # a copy of the row before it, and the query copies of them; a few
+        # draws, as a tie decided apart shows in some draws only
+        params = SpectralParams(mutual=mutual)
+        for _ in range(4 if equal_features else 1):
+            if equal_features:
+                pool = rng.standard_normal((big_n + 2, dim))
+                pool[1::2] = pool[0::2][:pool[1::2].shape[0]]
+                feats = pool[rng.integers(0, big_n, n)]
+                feats[::2] += 0.1 * rng.standard_normal(feats[::2].shape)
+                query = make_scan("q", rng.random((n, 3)) * 20, features=feats)
+                cands = [make_scan(f"c{i}", rng.random((big_n + i % 3, 3)) * 20,
+                                   features=pool[:big_n + i % 3]) for i in range(b)]
+            else:
+                query = identity_feature_scan("q", rng, n=n, dim=dim)
+                cands = [identity_feature_scan(f"c{i}", rng, n=big_n + i % 3, dim=dim)
+                         for i in range(b)]
+            batch, _ = score_candidates(query, cands, params)
+            solo = np.array([score_candidates(query, [c], params)[0][0] for c in cands])
+            assert np.array_equal(batch, solo)
 
     def test_stack_equals_build_compatibility_matrix_bitwise(self, rng, monkeypatch):
         stacks = []
@@ -655,11 +649,11 @@ def bracket_cases(draw):
 
 def sweep_bracket(m, keep, steps):
     """The bracket of M from the float32 step after `steps` normalised steps."""
-    m32, u, _, nonzero = spectral._sweep_operands(m[None], keep[None])
+    m32, u, _ = spectral._sweep_operands(m[None], keep[None])
     for _ in range(steps):
         u = np.matmul(m32, u)
         u /= np.linalg.norm(u)
-    lo, hi = spectral._bracket(u, np.matmul(m32, u), nonzero)
+    lo, hi = spectral._bracket(u, np.matmul(m32, u), m.any(axis=1)[None])
     return lo[0], hi[0]
 
 
