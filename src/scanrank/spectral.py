@@ -3,20 +3,19 @@
 The fitness of a candidate is the optimal inter-cluster score of the
 correspondence compatibility graph: s* = v*^T M v* with v* the principal
 eigenvector of M, approximated by power iteration, batched over all
-candidates of one query: a float32 sweep does most steps, a float64 polish
-sets v* and s*, and `iterations` counts both. Both iterate M + sigma*I with
-sigma = 1/4, so (M + sigma*I)v >= sigma*v for the non-negative iterates. A
-sweep whose float32 step stalls (near-bipartite M, where the step ratio
-(lambda - sigma) / (lambda + sigma) is close to 1) hands over to the polish
-early. By default a candidate's score is bitwise independent of the batch
-it shares: every stage computes each candidate's slice at the shape of a
-call on it alone, its NN GEMM included. The re-ranker needs only the order
-of the scores, so it scores in order mode (`score_candidates(...,
-order=True)`): each candidate's float32 sweep stops once bounds on lambda_1
-from a step it already takes prove its rank in the batch. Its scores are
-then certified lower bounds on lambda_1, not s* converged to `tol`, and
-they depend on which candidates share the batch; candidates left unproven
-after `max_iters` (near and exact ties) get the default s*.
+candidates of one query. Both modes iterate M + sigma*I with sigma = 1/4,
+so (M + sigma*I)v >= sigma*v for the non-negative iterates. By default (tol
+mode) a plain float64 iteration normalises and checks every step against
+`tol`, and a candidate's score s* is bitwise independent of the batch it
+shares: every stage computes each candidate's slice at the shape of a call
+on it alone, its NN GEMM included. The re-ranker needs only the order of
+the scores, so it scores in order mode (`score_candidates(...,
+order=True)`): a float32 sweep, normalised once per block, stops each
+candidate once bounds on lambda_1 from a step it already takes prove its
+rank in the batch. Its scores are then certified lower bounds on lambda_1,
+not s* converged to `tol`, and they depend on which candidates share the
+batch; candidates left unproven after `max_iters` (near and exact ties)
+get the default s*.
 `score_candidates` is the one re-ranking path. Per query it makes one
 matmul call of one NN GEMM per candidate and one distance stack, the
 query's distances in slice 0 and every candidate's after it, from which
@@ -174,92 +173,53 @@ class SpectralResult:
 
 _SHIFT = 0.25  # sigma: power iteration runs on M + sigma*I
 _CHECK_EVERY = 8  # float32 steps per block between normalisations and checks
-_F32_STEP_FLOOR = 1e-6  # above float32 rounding of the step (<= 1.2e-7 measured, n = 96..3000)
-_STALL_WINDOW = 32  # float32 steps within which a live slice's step must halve
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _U_FLOOR = 2.0 ** -100  # iterate entries below it count as 0 in an upper bound
 
 
-def _iterate(m, v, budget, thr, block, step, count_fired, owned, stall_window=0, certify=None):
-    """Power-iterate every slice of m from v until its step drops below thr
-    or it has taken budget[i] steps; returns (v, steps taken, fired).
+def _iterate(a, v, max_iters, block, stop):
+    """Power-iterate every slice of a from v, in blocks of `block` steps
+    w = a u, until `stop` retires it or it has taken `max_iters` steps;
+    returns (v, steps taken, stopped), one entry per slice.
 
-    Blocks of `block` steps, each `step(m, v_t, out)`, run between
-    normalisations and checks. The step that fires is counted and returned
-    when `count_fired` is 1 and dropped when 0. With a `stall_window`, a
-    slice also retires, unfired, with its last iterate when its step has not
-    halved since the check `stall_window` or more steps before; that rule is
-    evaluated only at those sparse checks, not every block. A `certify`
-    hook replaces the step rule (`thr` is unused): `certify(active, u, w)`
-    sees the last step w = step(u) of each block before normalisation, for
-    the live slices `active` (indices into the batch), and returns which of
-    them retire, unfired, with that iterate; only that iterate is
-    normalised. Without the hook slices retire on their own and every
-    schedule depends only on the step count, so a slice's trajectory never
-    depends on which others share the batch.
-    The live slices sit at the front of a working copy of m (m itself when
-    `owned`); retirements move only the live slices past the new end into
-    the freed slots.
+    `stop(active, u, w)` sees the last step w = a u of each block before
+    normalisation, for the live slices `active` (indices into the batch),
+    and returns which of them retire, stopped, with that iterate. Only that
+    iterate is normalised, and every step run is counted. The live slices
+    sit at the front of a, which is overwritten: retirements move only the
+    live slices past the new end into the freed slots.
     """
     out = v.copy()
-    taken = np.zeros(m.shape[0], dtype=np.int64)
-    fired = np.zeros(m.shape[0], dtype=bool)
-    active = np.flatnonzero(budget > 0)
-    if active.size < m.shape[0]:
-        m, owned = m[active], True
-    m_act, va, k = m, v[active], 0
-    ref, next_check = np.full(active.size, np.inf, dtype=va.dtype), 0
+    taken = np.zeros(a.shape[0], dtype=np.int64)
+    stopped = np.zeros(a.shape[0], dtype=bool)
+    active, va, k = np.arange(a.shape[0]), v, 0
     while active.size:
-        s = min(block, int(budget[active].min()) - k)
+        s = min(block, max_iters - k)
         trail = np.empty((s + 1,) + va.shape, dtype=va.dtype)
         trail[0] = va
         for t in range(s):
-            step(m_act, trail[t], trail[t + 1])
-        if certify:  # in place of the step rule; only the last iterate is kept
-            certified = certify(active, trail[s - 1], trail[s])
-            trail[s] /= np.sqrt(np.einsum("bij,bij->b", trail[s], trail[s]))[:, None, None]
-            hit = np.zeros((s, active.size), dtype=bool)
-        else:
-            certified = False
-            trail[1:] /= np.sqrt(np.einsum("sbij,sbij->sb", trail[1:], trail[1:]))[..., None, None]
-            d = trail[1:] - trail[:-1]
-            size = np.sqrt(np.einsum("sbij,sbij->sb", d, d))
-            hit = size < thr
+            np.matmul(a, trail[t], out=trail[t + 1])
+        hit = stop(active, trail[s - 1], trail[s])
+        trail[s] /= np.sqrt(np.einsum("bij,bij->b", trail[s], trail[s]))[:, None, None]
         k += s
-        conv = hit.any(axis=0)
-        retire = conv | (budget[active] <= k) | certified
-        if stall_window and k >= next_check:
-            retire |= size[-1] > 0.5 * ref
-            ref, next_check = size[-1], k + stall_window
+        retire = hit | (k >= max_iters)
         done = np.flatnonzero(retire)
         if done.size == 0:
             va = trail[s]
             continue
-        # a converged slice stops at its first firing step, any other at its last
-        last = np.where(conv[done], hit[:, done].argmax(axis=0) + count_fired, s)
         retired = active[done]
-        out[retired] = trail[last, done]
-        taken[retired] = k - s + last
-        fired[retired] = conv[done]
+        out[retired] = trail[s, done]
+        taken[retired] = k
+        stopped[retired] = hit[done]
         live = np.flatnonzero(~retire)
-        if owned:
-            holes = done[done < live.size]
-            movers = live[live >= live.size]
-            m_act[holes] = m_act[movers]
-            m_act = m_act[:live.size]
-            live = np.arange(live.size)
-            live[holes] = movers
-        else:
-            m_act = m_act[live]
-            owned = True
-        active, ref = active[live], ref[live]
-        va = trail[s][live]
-    return out, taken, fired
-
-
-def _shifted_step(m, v, out):
-    np.matmul(m, v, out=out)
-    out += _SHIFT * v
+        holes = done[done < live.size]
+        movers = live[live >= live.size]
+        a[holes] = a[movers]
+        a = a[:live.size]
+        live = np.arange(live.size)
+        live[holes] = movers
+        active, va = active[live], trail[s][live]
+    return out, taken, stopped
 
 
 def _power_iteration_batch(
@@ -278,61 +238,49 @@ def _power_iteration_batch(
     world sigma = 1/4 took 860 matvecs per query against 1008 at sigma = 1.
     The trade-off is bipartite M, where lambda_2 = -lambda_1 and the ratio
     (lambda - sigma) / (lambda + sigma) nears 1 as sigma shrinks: complete
-    bipartite K(30,60) and K(100,200) take about 4x the steps of a float64
-    iteration at sigma = 1 (1083 and 3606 against 271 and 902 at tol = 1e-6).
+    bipartite K(30,60) and K(100,200) take about 4x the steps they take at
+    sigma = 1 (1083 and 3606 against 271 and 902 at tol = 1e-6).
 
     A slice starts from 1/sqrt(n_kept) on its kept pairs and 0 on the rest,
     whose rows and columns of M must be zero, so their entries stay exactly
     0: the uniform start when every pair is kept. By default every slice
     iterates to `tol` and its key is s* = v^T M v (`_tol_mode`). With
     `order`, a slice stops once its rank among the slices is proven, and the
-    keys only order the slices (`_order_mode`).
+    keys only order the slices (`_order_mode`). `iterations` counts every
+    step run on M + sigma*I.
     """
     return (_order_mode if order else _tol_mode)(m_stack, keep, tol, max_iters)
 
 
-def _sweep_operands(m_stack, keep):
-    """The float32 sweep's M + sigma*I, its start vectors and its block length."""
+def _shifted(m_stack, keep, dtype):
+    """A copy of M + sigma*I in `dtype`, and the start vectors (b, n, 1)."""
     n = m_stack.shape[1]
-    m32 = m_stack.astype(np.float32)
-    m32[:, np.arange(n), np.arange(n)] = _SHIFT  # the shift, in M's zero diagonal
-    # Entries of M + sigma*I lie in [0, 1], so a step grows a unit vector's
-    # norm by at most n and a block of s steps by n^s. Its squared norm must
-    # stay below the float32 maximum, n^(2s) < 3.4e38: s = 8 up to n = 254,
-    # 5 at n = 2000. A step keeps at least sigma = 1/4 of the norm, so a
-    # block of 8 keeps at least 4^-8 of it, far from underflow.
-    log_max = np.log(np.finfo(np.float32).max)
-    block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
-    start = (keep / np.sqrt(keep.sum(axis=1, keepdims=True))).astype(np.float32)[..., None]
-    return m32, start, block
+    a = m_stack.astype(dtype)
+    a[:, np.arange(n), np.arange(n)] = _SHIFT  # the shift, in M's zero diagonal
+    start = (keep / np.sqrt(keep.sum(axis=1, keepdims=True))).astype(dtype)[..., None]
+    return a, start
 
 
 def _tol_mode(m_stack, keep, tol, max_iters):
-    """Every slice to `tol`, in two stages; key s* = v^T M v.
+    """Every slice to `tol`; key s* = v^T M v.
 
-    A float32 sweep is normalised and checked once per block, and stops
-    before the step that drops below max(tol, 1e-6), just above float32
-    rounding; that step is not counted. On near-bipartite M the float32 step
-    can stall above that floor, its rounding noise amplified by a ratio near
-    1, so the sweep also hands a slice over once its step has not halved
-    within 32 steps. A float64 polish continues from the renormalised
-    iterate, stepping Mv + sigma*v and checking each step against `tol`, on
-    what is left of `max_iters`. The sweep is only a warm start, at half the
-    memory traffic: the stopping rule, v* and s* = v^T M v all come from
-    float64. `iterations` counts the matvecs of both stages; `converged`
-    means the polish stopped on `tol`. A slice's results are bitwise
-    independent of the batch it shares.
+    A plain float64 power iteration on M + sigma*I: every step is normalised
+    and checked, and a slice stops at the first step that moves its unit
+    iterate by less than `tol`, that step counted. `converged` means a slice
+    stopped on `tol` within `max_iters` steps. Each operation works on every
+    slice alone, so a slice's results are bitwise independent of the batch
+    it shares.
     """
-    budget = np.full(m_stack.shape[0], max_iters, dtype=np.int64)
-    m32, start, block = _sweep_operands(m_stack, keep)
-    v32, k32, _ = _iterate(m32, start, budget, max(tol, _F32_STEP_FLOOR), block, np.matmul,
-                           count_fired=0, owned=True, stall_window=_STALL_WINDOW)
-    v = v32.astype(np.float64)
-    v /= np.sqrt(np.einsum("bij,bij->b", v, v))[:, None, None]
-    v, k64, converged = _iterate(m_stack, v, budget - k32, tol, 1, _shifted_step,
-                                 count_fired=1, owned=False)
+    a, start = _shifted(m_stack, keep, np.float64)
+
+    def moved_less_than_tol(active, u, w):
+        d = w / np.sqrt(np.einsum("bij,bij->b", w, w))[:, None, None]
+        d -= u
+        return np.sqrt(np.einsum("bij,bij->b", d, d)) < tol
+
+    v, iterations, converged = _iterate(a, start, max_iters, 1, moved_less_than_tol)
     lam = np.einsum("bij,bij->b", v, np.matmul(m_stack, v))
-    return v[..., 0], lam, k32 + k64, converged
+    return v[..., 0], lam, iterations, converged
 
 
 def _bracket(u, w, nonzero):
@@ -377,8 +325,9 @@ def _order_mode(m_stack, keep, tol, max_iters):
     """Each slice only until its rank among the slices is proven; the keys
     order the slices as lambda_1 does.
 
-    The float32 sweep of `_tol_mode` runs without its step rule. At the last
-    step of each block, `_bracket` bounds every live slice's lambda_1 by
+    A float32 sweep on M + sigma*I, at half the memory traffic of float64,
+    runs blocks of up to 8 steps and normalises only the last step of each.
+    At that step, `_bracket` bounds every live slice's lambda_1 by
     [lo, hi], intersected with that slice's earlier brackets. A slice
     retires, certified, once its bracket is disjoint from the current
     bracket of every other slice. A retired slice's bracket stays frozen and
@@ -401,10 +350,16 @@ def _order_mode(m_stack, keep, tol, max_iters):
     certified slice.
     """
     b, n = m_stack.shape[0], m_stack.shape[1]
-    m32, start, block = _sweep_operands(m_stack, keep)
+    m32, start = _shifted(m_stack, keep, np.float32)
+    # Entries of M + sigma*I lie in [0, 1], so a step grows a unit vector's
+    # norm by at most n and a block of s steps by n^s. Its squared norm must
+    # stay below the float32 maximum, n^(2s) < 3.4e38: s = 8 up to n = 254,
+    # 5 at n = 2000. A step keeps at least sigma = 1/4 of the norm, so a
+    # block of 8 keeps at least 4^-8 of it, far from underflow.
+    log_max = np.log(np.finfo(np.float32).max)
+    block = min(_CHECK_EVERY, int(log_max / (2 * np.log(max(n, 2)))))
     nonzero = np.matmul(m_stack, np.ones(n)) > 0  # a non-negative row sums to 0 only if zero
     lo, hi = np.full(b, -np.inf), np.full(b, np.inf)
-    certified = np.zeros(b, dtype=bool)
 
     def certify(active, u, w):
         lo_a, hi_a = _bracket(u, w, nonzero[active])
@@ -412,13 +367,9 @@ def _order_mode(m_stack, keep, tol, max_iters):
         hi[active] = hi_a = np.minimum(hi[active], hi_a)
         apart = (hi_a[:, None] < lo) | (lo_a[:, None] > hi)
         apart[np.arange(active.size), active] = True  # a slice is not compared with itself
-        done = apart.all(axis=1)
-        certified[active[done]] = True
-        return done
+        return apart.all(axis=1)
 
-    budget = np.full(b, max_iters, dtype=np.int64)
-    v32, iterations, _ = _iterate(m32, start, budget, None, block, np.matmul,
-                                  count_fired=0, owned=True, certify=certify)
+    v32, iterations, certified = _iterate(m32, start, max_iters, block, certify)
     v = v32[..., 0].astype(np.float64)
     v /= np.sqrt(np.einsum("bi,bi->b", v, v))[:, None]
     key, converged = lo.copy(), certified.copy()
@@ -445,10 +396,7 @@ def power_iterate(
     """
     if matrix.n == 0:
         raise EmptyMatrixError("cannot power-iterate an empty matrix")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    SpectralParams(tol=tol, max_iters=max_iters)  # the one check of tol and max_iters
     keep = np.ones((1, matrix.n), dtype=bool)
     v, lam, iters, conv = _power_iteration_batch(matrix.values[None], keep, tol, max_iters)
     return SpectralResult(

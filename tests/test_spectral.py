@@ -27,9 +27,13 @@ class TestSpectralParams:
             SpectralParams(d_thr=d_thr)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
-    def test_rejects_tol_outside_zero_to_inf(self, tol):
+    @pytest.mark.parametrize("use", ["params", "power_iterate"])
+    def test_rejects_tol_outside_zero_to_inf(self, tol, use):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            SpectralParams(tol=tol)
+            if use == "params":
+                SpectralParams(tol=tol)
+            else:
+                power_iterate(CompatibilityMatrix(np.ones((3, 3)) - np.eye(3), 0.5), tol=tol)
 
     def test_accepts_small_and_large_finite_values(self):
         params = SpectralParams(d_thr=1e-300, tol=1e300)
@@ -258,8 +262,9 @@ class TestPowerIterate:
         assert res.s_star >= 0.0
 
 
-class TestTwoStagePowerIteration:
-    """The float32 sweep and float64 polish of the batched power iteration."""
+class TestBatchedPowerIteration:
+    """Tol mode, the float64 power iteration of a batch, and the float32
+    sweep of order mode at large n."""
 
     def mixed_stack(self, rng, n=30):
         # slow and fast convergers, a complete graph and a zero matrix
@@ -280,11 +285,30 @@ class TestTwoStagePowerIteration:
             assert lam[i] == solo.s_star
             assert (iters[i], conv[i]) == (solo.iterations, solo.converged)
 
+    @pytest.mark.parametrize("order", [False, True], ids=["tol", "order"])
+    def test_iterations_count_every_matvec_run(self, rng, monkeypatch, order):
+        # the copy of slice 1 ties with it, so order mode falls back to tol
+        # mode for both, and their tol-mode steps must be counted too
+        stack = self.mixed_stack(rng)
+        stack = np.concatenate([stack, stack[1:2]])
+        keep = np.ones(stack.shape[:2], dtype=bool)
+        run = []
+        matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            if b.ndim == 3 and b.shape[-1] == 1 and (a[:, 0, 0] == spectral._SHIFT).all():
+                run.append(a.shape[0])  # one matvec on M + sigma*I per slice
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        _, _, iters, _ = spectral._power_iteration_batch(stack, keep, 1e-6, 100, order)
+        assert sum(run) == iters.sum()
+        assert not order or iters[-1] > 100
+
     def test_small_gap_converges_to_float64_accuracy(self):
         # two disconnected cliques whose eigenvalues 47 and 46.765 differ by
-        # 0.5%; tol = 1e-9 lies far below the float32 step floor, so the
-        # polish carries the last stretch, in no more iterations than the
-        # float64-only iteration took (3140)
+        # 0.5%: tol = 1e-9 is reached to float64 accuracy within 3140
+        # iterations (3094 measured)
         m = np.zeros((96, 96))
         m[:48, :48] = 1.0
         m[48:, 48:] = 0.995
@@ -296,11 +320,10 @@ class TestTwoStagePowerIteration:
         assert abs(res.s_star - lam) <= 1e-9 * lam
 
     @pytest.mark.parametrize("a, b, bound", [(30, 60, 1150), (100, 200, 3800)])
-    def test_complete_bipartite_hands_the_stalled_sweep_over(self, a, b, bound):
+    def test_complete_bipartite_converges_despite_a_step_ratio_near_1(self, a, b, bound):
         # K(a, b) has eigenvalues +/- sqrt(ab), so each step shrinks by
-        # (lambda - 1/4) / (lambda + 1/4): 0.988 and 0.996. The float32 step
-        # stalls above its 1e-6 floor, and only the hand-over to the float64
-        # polish converges (1083 and 3606 iterations measured)
+        # (lambda - 1/4) / (lambda + 1/4): 0.988 and 0.996, and the float64
+        # iteration still converges (1083 and 3606 iterations measured)
         n = a + b
         m = np.zeros((n, n))
         m[:a, a:] = m[a:, :a] = 1.0
@@ -311,17 +334,31 @@ class TestTwoStagePowerIteration:
         assert abs(res.s_star - lam) <= 1e-9 * lam
 
     @pytest.mark.parametrize("case", ["all_ones", "two_cliques"])
-    def test_large_n_does_not_overflow_float32(self, case):
-        # n = 2000: each step grows the norm by up to n, the bound the
-        # float32 block length is chosen for. All ones converges on the
-        # first step; two disconnected cliques of 1000 (weights 1 and 0.9)
-        # keep the sweep running for many blocks.
+    def test_large_n_does_not_overflow_float32(self, monkeypatch, case):
+        # n = 2000: each float32 step of order mode grows the norm by up to
+        # n, the bound its block length is chosen for. Two copies of one
+        # matrix tie, so the sweep runs every block of its 40 steps; all
+        # ones (lambda 1999) and two disconnected cliques of 1000 (weights 1
+        # and 0.9, lambda 999) grow the norm at about n and n / 2 per step.
         n, h = 2000, 1000
         m = np.ones((n, n))
         if case == "two_cliques":
             m[:h, h:] = m[h:, :h] = 0.0
             m[h:, h:] = 0.9
         np.fill_diagonal(m, 0.0)
+        seen = []
+        bracket = spectral._bracket
+
+        def spy(u, w, nonzero):
+            seen.append((u, w))
+            return bracket(u, w, nonzero)
+
+        monkeypatch.setattr(spectral, "_bracket", spy)
+        keep = np.ones((2, n), dtype=bool)
+        _, _, iters, _ = spectral._power_iteration_batch(np.stack([m, m]), keep, 1e-9, 40, order=True)
+        assert len(seen) == 8 and (iters >= 40).all()  # blocks of 5 at n = 2000
+        for u, w in seen:
+            assert np.isfinite(w).all() and (np.linalg.norm(u, axis=1) > 1.0).all()
         res = power_iterate(CompatibilityMatrix(m, 0.5), tol=1e-9, max_iters=1000)
         assert res.converged
         assert res.s_star == pytest.approx(n - 1.0 if case == "all_ones" else h - 1.0, rel=1e-9)
@@ -649,7 +686,7 @@ def bracket_cases(draw):
 
 def sweep_bracket(m, keep, steps):
     """The bracket of M from the float32 step after `steps` normalised steps."""
-    m32, u, _ = spectral._sweep_operands(m[None], keep[None])
+    m32, u = spectral._shifted(m[None], keep[None], np.float32)
     for _ in range(steps):
         u = np.matmul(m32, u)
         u /= np.linalg.norm(u)
