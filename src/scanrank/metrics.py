@@ -2,8 +2,9 @@
 
 A query is *evaluable* at a radius when the database contains at least one
 scan within that radius of it; recall, MRR and the top-1 distance check all
-share that denominator. Queries that are evaluable but whose ranked list
-contains no positive contribute 0 to MRR (rank treated as infinite).
+share that denominator. Recall and MRR read only each outcome's
+first-positive ranks; an evaluable query whose ranking holds no positive
+(rank None) misses at every k and contributes 0 to MRR.
 """
 
 from __future__ import annotations
@@ -20,28 +21,27 @@ from .retrieval import Database
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Everything the metrics need about one evaluated query.
+    """Everything the metrics and the results file need about one query.
 
-    `process_queries` keeps the first D ids of each ranking, with
-    D = min(N, max(n_topk, max(recall_ks), the first-positive rank of both
-    lists at every radius)). A positive lies in the top k exactly when the
-    first-positive rank is <= k, and no first positive lies past D, so
-    recall@k at any k, MRR and every summary number read the same from
-    these lists as from the full rankings.
+    `first_rank_pre` and `first_rank_post` map each revisit radius to the
+    1-based rank of the first positive in the full ranking before and after
+    re-ranking, None if it holds none. Recall@k and MRR read only these,
+    and so does the results record's rank field. `ranked_ids_pre` and
+    `ranked_ids_post` are the first D ids of each ranking (D as in
+    `process_queries`), which the results file lists.
     """
 
     query_id: str
     ranked_ids_pre: tuple[str, ...]
     ranked_ids_post: tuple[str, ...]
     positives: dict[float, frozenset[str]]  # revisit radius -> db ids
+    first_rank_pre: dict[float, int | None]   # revisit radius -> rank
+    first_rank_post: dict[float, int | None]
     top1_distance_pre: float
     top1_distance_post: float
     pose_estimate: RigidTransform | None = None  # relative query -> top-1 candidate
     gt_relative: RigidTransform | None = None
     timings: dict[str, float] = field(default_factory=dict)
-
-    def ranked(self, reranked: bool) -> tuple[str, ...]:
-        return self.ranked_ids_post if reranked else self.ranked_ids_pre
 
 
 def ground_truth_positives(database: Database, distances: np.ndarray, radius: float) -> frozenset[str]:
@@ -50,10 +50,10 @@ def ground_truth_positives(database: Database, distances: np.ndarray, radius: fl
     `distances` are the query's geo distances to every row, in row order, as
     `database.distances_to(query.geo_location)` returns them; a caller that
     needs several radii computes them once. `process_queries` thresholds
-    the same array into the row masks whose `RankedList.first_rank` sets a
-    record's depth, so positives and depths agree bit for bit.
+    the same array into the row masks whose `RankedList.first_rank` gives
+    the first-positive ranks, so positives and ranks agree bit for bit.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     distances = np.asarray(distances)
     if distances.shape != (len(database),):
@@ -69,35 +69,29 @@ def _evaluable(outcomes: list[QueryOutcome], radius: float) -> list[QueryOutcome
     return selected
 
 
-def first_positive_rank(ids: tuple[str, ...], positives: frozenset[str]) -> int | None:
-    """1-based rank of the first true positive, None if absent."""
-    for rank, scan_id in enumerate(ids, start=1):
-        if scan_id in positives:
-            return rank
-    return None
+def _first_ranks(outcomes: list[QueryOutcome], radius: float, reranked: bool) -> list[int | None]:
+    """First-positive ranks of the evaluable queries at `radius`, in query order."""
+    return [(o.first_rank_post if reranked else o.first_rank_pre)[radius]
+            for o in _evaluable(outcomes, radius)]
 
 
 def recall_at_k(outcomes: list[QueryOutcome], k: int, radius: float, reranked: bool = True) -> float:
     """Percentage of evaluable queries with a positive in their top k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    selected = _evaluable(outcomes, radius)
-    hits = sum(
-        1 for o in selected
-        if any(i in o.positives[radius] for i in o.ranked(reranked)[:k])
-    )
-    return 100.0 * hits / len(selected)
+    ranks = _first_ranks(outcomes, radius, reranked)
+    hits = sum(1 for rank in ranks if rank is not None and rank <= k)
+    return 100.0 * hits / len(ranks)
 
 
 def mean_reciprocal_rank(outcomes: list[QueryOutcome], radius: float, reranked: bool = True) -> float:
     """Mean of 1/rank of the first positive over evaluable queries, as a percentage."""
-    selected = _evaluable(outcomes, radius)
+    ranks = _first_ranks(outcomes, radius, reranked)
     total = 0.0
-    for o in selected:
-        rank = first_positive_rank(o.ranked(reranked), o.positives[radius])
+    for rank in ranks:
         if rank is not None:
             total += 1.0 / rank
-    return 100.0 * total / len(selected)
+    return 100.0 * total / len(ranks)
 
 
 def top1_distance_regressions(outcomes: list[QueryOutcome], radius: float) -> tuple[int, float, float]:

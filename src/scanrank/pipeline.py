@@ -22,7 +22,6 @@ from .metrics import (
     QueryOutcome,
     build_metric_report,
     top1_distance_regressions,
-    first_positive_rank,
     ground_truth_positives,
     pose_errors,
 )
@@ -114,20 +113,6 @@ def _n_qe(cfg: RunConfig) -> int:
     return cfg.n_topk if cfg.n_qe is None else cfg.n_qe
 
 
-def _record_depth(cfg: RunConfig, distances: np.ndarray, *ranked: RankedList) -> int:
-    """The depth D of `process_queries` for one query; `distances` are the
-    geo distances of every database row, as `ground_truth_positives`
-    thresholds them."""
-    depth = max((cfg.n_topk, *cfg.recall_ks))
-    for r in cfg.radii:
-        mask = distances <= r
-        for ranking in ranked:
-            rank = ranking.first_rank(mask)
-            if rank is not None:
-                depth = max(depth, rank)
-    return min(depth, len(distances))
-
-
 def process_queries(
     database: list[ScanRecord],
     queries: list[ScanRecord],
@@ -135,17 +120,16 @@ def process_queries(
 ) -> list[QueryOutcome]:
     """Retrieve, re-rank and register every query; never aborts on one query.
 
-    Each outcome keeps the first D ids of the full ranking before and after
-    re-ranking, D = min(N, max(n_topk, max(recall_ks), the first-positive
-    rank of both rankings at every radius)). A positive lies in the top k
-    exactly when the first-positive rank is <= k, and D is at least every
-    first-positive rank, so recall@k at any k and MRR read the same from
-    the kept ids as from the full rankings.
+    Each outcome holds the first-positive rank of the full ranking before
+    and after re-ranking at every radius, from one row mask per radius,
+    and the first D ids of both rankings for the results file, D = min(N,
+    max(n_topk, max(recall_ks), every first-positive rank)). So a record
+    lists every first positive and the top k at every recall k.
 
     Retrieval sorts only the first k0 = min(N, max(n_topk, max(recall_ks),
     n_qe)) rows, all that a re-ranker reads; the lists extend to D through
     their keys. `query_topk` runs once per query and the geo distances
-    once, for the positives at every radius, D and the top-1 distances.
+    once, for the positives, the ranks and the top-1 distances.
     """
     db = build_index(database)
     workers = cfg.workers()
@@ -176,12 +160,20 @@ def process_queries(
 
         distances = db.distances_to(query.geo_location)
         positives = {r: ground_truth_positives(db, distances, r) for r in cfg.radii}
-        depth = _record_depth(cfg, distances, ranked_pre, ranked_post)
+        first_pre, first_post = {}, {}
+        for r in cfg.radii:
+            mask = distances <= r
+            first_pre[r] = ranked_pre.first_rank(mask)
+            first_post[r] = ranked_post.first_rank(mask)
+        ranks = [k for k in (*first_pre.values(), *first_post.values()) if k is not None]
+        depth = min(len(db), max(cfg.n_topk, *cfg.recall_ks, *ranks))
         outcomes.append(QueryOutcome(
             query_id=query.id,
             ranked_ids_pre=ranked_pre.top_ids(depth),
             ranked_ids_post=ranked_post.top_ids(depth),
             positives=positives,
+            first_rank_pre=first_pre,
+            first_rank_post=first_post,
             top1_distance_pre=float(distances[ranked_pre.rows[0]]),
             top1_distance_post=float(distances[ranked_post.rows[0]]),
             pose_estimate=pose,
@@ -203,10 +195,7 @@ def _query_record(outcome: QueryOutcome, radii: tuple[float, ...]) -> dict:
         "positives": {str(r): sorted(outcome.positives[r]) for r in radii},
         "top1_distance_pre": outcome.top1_distance_pre,
         "top1_distance_post": outcome.top1_distance_post,
-        "first_positive_rank": {
-            str(r): first_positive_rank(outcome.ranked_ids_post, outcome.positives[r])
-            for r in radii
-        },
+        "first_positive_rank": {str(r): outcome.first_rank_post[r] for r in radii},
         "timings": outcome.timings,
     }
     if outcome.pose_estimate is not None and outcome.gt_relative is not None:

@@ -136,7 +136,7 @@ def rerank_alpha_qe(
     so Euclidean distance against raw descriptors would not even reproduce
     the original ranking in the degenerate n_qe = 0 case.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     g, expansion = _expansion(descriptor, ranked, n_qe)
     gn = np.linalg.norm(g)

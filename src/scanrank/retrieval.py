@@ -195,12 +195,16 @@ def query_topk(
     order, and keeps every row's distance as its key: `top_ids(n)` and
     `first_rank` read the full ranking past the first k rows. `metric` is
     `euclidean` (default) or `cosine` (distance = 1 - cosine similarity).
+    A descriptor with a NaN or infinite entry raises `ValueError`: every
+    distance would be NaN or infinite, and the list database order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = np.asarray(descriptor, dtype=np.float64).ravel()
     if g.shape[0] != index.dim:
         raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
+    if not np.isfinite(g).all():
+        raise ValueError("query descriptor must be finite")
     if metric == "euclidean":
         distances = np.sqrt(((index.descriptors - g) ** 2).sum(axis=1))
     elif metric == "cosine":

@@ -36,6 +36,15 @@ def listed(database, rows) -> RankedList:
     return RankedList(database, rows, keys)
 
 
+def first_positive_rank(ids, positives) -> int | None:
+    """Brute force: the 1-based rank of the first id in `positives`, None
+    if no id is."""
+    for rank, scan_id in enumerate(ids, start=1):
+        if scan_id in positives:
+            return rank
+    return None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -28,7 +28,7 @@ from scanrank.geometry import RigidTransform, random_rotation
 from scanrank.storage import summary_line
 from scanrank.synthgen import WorldConfig, export_world, generate_world
 
-from conftest import make_scan
+from conftest import first_positive_rank, make_scan
 
 SINGLE_CORE = (os.cpu_count() or 1) < 2
 
@@ -218,9 +218,11 @@ def test_criterion_8_metric_oracles():
             order = tuple(str(i) for i in rng.permutation(ids))
             n_pos = int(rng.integers(0, min(4, n_candidates) + 1))
             positives = frozenset(rng.choice(ids, size=n_pos, replace=False))
+            rank = {5.0: first_positive_rank(order, positives)}
             outcomes.append(QueryOutcome(
                 query_id=f"q{q}", ranked_ids_pre=order, ranked_ids_post=order,
-                positives={5.0: positives}, top1_distance_pre=0.0, top1_distance_post=0.0,
+                positives={5.0: positives}, first_rank_pre=rank, first_rank_post=rank,
+                top1_distance_pre=0.0, top1_distance_post=0.0,
             ))
         evaluable = [o for o in outcomes if o.positives[5.0]]
         if not evaluable:

@@ -1,4 +1,5 @@
-"""Ranking pins: the first 20 rows after re-ranking, and recall and MRR, exactly.
+"""Ranking pins: the first 20 rows after re-ranking, recall and MRR, exactly,
+and a digest of the per-query results records without their timings.
 
 The pins come from tests/make_golden.py. On the default world every
 re-ranker reaches 100% R@1, so a summary alone would survive a broken order

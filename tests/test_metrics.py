@@ -14,17 +14,23 @@ from scanrank.metrics import (
 )
 from scanrank.retrieval import build_index
 
-from conftest import make_scan
+from conftest import first_positive_rank, make_scan
 
 
 def outcome(query_id, ranked_post, positives, ranked_pre=None, pre_dist=0.0, post_dist=0.0,
             pose=None, gt=None):
+    """An outcome at radius 5 m whose first-positive ranks are counted by
+    brute force over the given lists."""
     ranked_post = tuple(ranked_post)
+    ranked_pre = tuple(ranked_pre) if ranked_pre is not None else ranked_post
+    positives = frozenset(positives)
     return QueryOutcome(
         query_id=query_id,
-        ranked_ids_pre=tuple(ranked_pre) if ranked_pre is not None else ranked_post,
+        ranked_ids_pre=ranked_pre,
         ranked_ids_post=ranked_post,
-        positives={5.0: frozenset(positives)},
+        positives={5.0: positives},
+        first_rank_pre={5.0: first_positive_rank(ranked_pre, positives)},
+        first_rank_post={5.0: first_positive_rank(ranked_post, positives)},
         top1_distance_pre=pre_dist,
         top1_distance_post=post_dist,
         pose_estimate=pose,
@@ -58,7 +64,7 @@ class TestGroundTruthPositives:
         with pytest.raises(ValueError, match=r"distances must have shape \(3,\)"):
             ground_truth_positives(db, distances, 5.0)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
     def test_rejects_a_radius_that_is_not_positive(self, radius):
         db = build_index([make_scan("a", [[0, 0, 0]])])
         with pytest.raises(ValueError, match="radius must be > 0"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from scanrank import pipeline, rerank, retrieval, spectral
 from scanrank.errors import ScanrankError
 from scanrank.geometry import geo_distance
-from scanrank.metrics import first_positive_rank, ground_truth_positives, recall_at_k, success_rate
+from scanrank.metrics import (
+    build_metric_report,
+    ground_truth_positives,
+    recall_at_k,
+    success_rate,
+)
 from scanrank.pipeline import RunConfig, build_report, process_queries, run, run_bench
 from scanrank.registration import RansacParams
 from scanrank.rerank import Strategy
@@ -14,6 +20,8 @@ from scanrank.retrieval import build_index, query_topk
 from scanrank.spectral import SpectralParams
 from scanrank.storage import read_results, summary_line, write_results
 from scanrank.synthgen import WorldConfig, export_world, generate_world
+
+from conftest import first_positive_rank
 
 
 def small_world(**overrides):
@@ -83,9 +91,10 @@ class TestProcessQueries:
     @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
     def test_outcome_lists_are_the_rankings_to_their_depth(self, noisy_world, strategy):
         # each list is exactly the first D ids of the full ranking, with D
-        # exactly the rule; some D reaches past every k, and some is cut.
-        # Places lie 50 m apart, so the first radius finds positives sooner
-        # than the second and D must come from the last one
+        # exactly the rule, and each first-positive rank is that of the full
+        # ranking; some D reaches past every k, and some is cut. Places lie
+        # 50 m apart, so the first radius finds positives sooner than the
+        # second and D must come from the last one
         cfg = RunConfig(strategy=strategy, n_topk=4, recall_ks=(1, 3), radii=(60.0, 5.0),
                         threads=1)
         outcomes = process_queries(noisy_world.database, noisy_world.queries, cfg)
@@ -96,9 +105,27 @@ class TestProcessQueries:
             depth = rule_depth(cfg, query, db, full)
             assert outcome.ranked_ids_pre == full[0][:depth]
             assert outcome.ranked_ids_post == full[1][:depth]
+            for r in cfg.radii:
+                positives = positives_of(query, db, r)
+                assert outcome.first_rank_pre[r] == first_positive_rank(full[0], positives)
+                assert outcome.first_rank_post[r] == first_positive_rank(full[1], positives)
             depths.append(depth)
         assert max(depths) > cfg.n_topk
         assert max(depths) < len(db)
+
+    @pytest.mark.parametrize("strategy", ["none", "spectral"])
+    def test_metrics_do_not_read_the_kept_ids(self, noisy_world, strategy):
+        # recall and MRR come from the stored first-positive ranks alone:
+        # cutting every list to one id changes no number, although some
+        # first positives lie deeper than that
+        cfg = RunConfig(strategy=strategy, n_topk=4, radii=(5.0, 60.0), threads=1)
+        outcomes = process_queries(noisy_world.database, noisy_world.queries, cfg)
+        assert any((rank or 0) > 1 for o in outcomes for rank in o.first_rank_post.values())
+        cut = [dataclasses.replace(o, ranked_ids_pre=o.ranked_ids_pre[:1],
+                                   ranked_ids_post=o.ranked_ids_post[:1]) for o in outcomes]
+        for reranked in (False, True):
+            want = build_metric_report(outcomes, (1, 3, 20), cfg.radii, reranked, True)
+            assert build_metric_report(cut, (1, 3, 20), cfg.radii, reranked, True) == want
 
     def test_written_lists_reach_the_deepest_first_positive(self, noisy_world, tmp_path):
         # at n_topk 1 and recall k 1 only the first-positive ranks set D,

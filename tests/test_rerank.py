@@ -234,6 +234,14 @@ class TestAlphaQe:
         with pytest.raises(ZeroVectorError):
             rerank_alpha_qe(np.zeros(2), ranked, n_qe=1, alpha=3.0, k=3)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan])
+    def test_alpha_that_is_not_positive_rejected(self, rng, alpha):
+        # a NaN alpha would make every weight and key NaN: database order
+        index = build_index(descriptor_db(rng.standard_normal((3, 2))))
+        ranked = query_topk(index, np.ones(2), k=3)
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            rerank_alpha_qe(np.ones(2), ranked, n_qe=1, alpha=alpha, k=3)
+
 
 class TestAliasedWorldRerank:
     def test_decoy_demoted_on_aliased_world(self):
