@@ -10,7 +10,7 @@ contrast.
 """
 
 from scanrank import (
-    RerankParams,
+    SpectralParams,
     WorldConfig,
     build_index,
     generate_world,
@@ -25,7 +25,7 @@ world = generate_world(WorldConfig(
     points_per_scan=48, outlier_rate=0.2,
 ))
 db = build_index(world.database)  # one Database serves retrieval and every re-ranker
-params = RerankParams(n_topk=10)
+n_topk, spectral = 10, SpectralParams()
 
 fooled = repaired = 0
 for query in world.queries:
@@ -35,12 +35,12 @@ for query in world.queries:
         continue
     fooled += 1
     decoy = ranked.ids[0]
-    out = rerank_spectral(query, ranked, params)
+    out = rerank_spectral(query, ranked, n_topk, spectral)
     if out.ids[0] in positives:
         repaired += 1
     true_id = world.query_sources[query.id]
     (s_true, s_decoy), _ = score_candidates(
-        query, [db.records[db.ids.index(true_id)], db.records[ranked.rows[0]]], params.spectral)
+        query, [db.records[db.ids.index(true_id)], db.records[ranked.rows[0]]], spectral)
     print(f"{query.id}: descriptor picked {decoy}, spectral picked {out.ids[0]} "
           f"(s* true {s_true:.1f} vs decoy {s_decoy:.1f})")
 

@@ -34,7 +34,6 @@ from .registration import (
     registered_inlier_ratio,
 )
 from .rerank import (
-    RerankParams,
     Strategy,
     rerank_alpha_qe,
     rerank_average_qe,
@@ -64,7 +63,6 @@ __all__ = [
     "RankedList",
     "RansacParams",
     "RegistrationResult",
-    "RerankParams",
     "RigidTransform",
     "ScanRecord",
     "SpectralParams",

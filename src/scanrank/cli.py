@@ -30,76 +30,79 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _parse_value(raw: str, target_type, key: str, path, lineno: int):
-    raw = raw.strip()
-    try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        if target_type is str:
-            return raw
-        if target_type == "int_tuple":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if target_type == "float_tuple":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if target_type == "str_tuple":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        if target_type == "optional_int":
-            return None if raw.lower() in ("none", "") else int(raw)
-    except ValueError as exc:
-        raise InvalidConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    raise InvalidConfigError(f"{path}:{lineno}: unhandled type for {key!r}")
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _read_kv(path) -> list[tuple[str, str, int]]:
-    p = Path(path)
-    if not p.exists():
-        raise InvalidConfigError(f"config file not found: {p}")
-    entries = []
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+def _tuple(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+
+
+# one parser per field annotation; a field typed otherwise fails the import
+_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": _bool,
+    "int | None": lambda raw: None if raw.lower() in ("none", "") else int(raw),
+    "tuple[int, ...]": _tuple(int), "tuple[float, ...]": _tuple(float),
+    "tuple[str, ...]": _tuple(str),
+}
+
+
+def _keys(cls, group=None, skip=()) -> dict:
+    """field name -> (group, field name, parser) for each field of `cls`."""
+    return {f.name: (group, f.name, _PARSERS[f.type]) for f in fields(cls) if f.name not in skip}
+
+
+# Every field is a key but the RANSAC seed, which the run seed replaces per
+# query; `ransac_iterations` is the one key renamed.
+_RUN_KEYS = {
+    **_keys(RunConfig, skip=("spectral", "ransac")),
+    **_keys(SpectralParams, "spectral"),
+    **_keys(RansacParams, "ransac", skip=("seed",)),
+}
+_RUN_KEYS["ransac_iterations"] = _RUN_KEYS.pop("max_iterations")
+_WORLD_KEYS = _keys(WorldConfig)
+
+
+def _read_config(path, args, table) -> dict:
+    """Field values by group: the config file's `key = value` lines, then
+    the flags in `args` named like a key, which override them."""
+    values: dict = {group: {} for group, _, _ in table.values()}
+    lines: list[str] = []
+    if path:
+        if not Path(path).exists():
+            raise InvalidConfigError(f"config file not found: {path}")
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InvalidConfigError(f"{p}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries.append((key.strip(), value.strip(), lineno))
-    return entries
-
-
-_WORLD_TYPES = {f.name: f.type for f in fields(WorldConfig)}
-
-
-def load_world_config(path, seed_override: int | None = None) -> WorldConfig:
-    values = {}
-    for key, raw, lineno in _read_kv(path):
-        if key not in _WORLD_TYPES:
+            raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in table:
             raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        ftype = {"int": int, "float": float, "str": str}[_WORLD_TYPES[key]]
-        values[key] = _parse_value(raw, ftype, key, path, lineno)
-    if seed_override is not None:
-        values["seed"] = seed_override
-    return WorldConfig(**values)
+        group, name, parse = table[key]
+        try:
+            values[group][name] = parse(value)
+        except ValueError as exc:
+            raise InvalidConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for key, (group, name, _) in table.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[group][name] = flag
+    return values
 
 
-_RUN_KEYS = {
-    "manifest": str, "strategy": str, "n_topk": int, "n_qe": "optional_int",
-    "alpha": float, "radii": "float_tuple", "recall_ks": "int_tuple",
-    "seed": int, "threads": int, "out": str,
-    "d_thr": float, "n_max": int, "tol": float, "max_iters": int, "mutual": bool,
-    "inlier_threshold": float, "ransac_iterations": int, "confidence": float,
-    "bench_n_topk": "int_tuple", "bench_strategies": "str_tuple",
-}
-_SPECTRAL_KEYS = {"d_thr", "n_max", "tol", "max_iters", "mutual"}
-_RANSAC_KEYS = {"inlier_threshold", "ransac_iterations", "confidence"}
+def load_world_config(path, args: argparse.Namespace | None = None) -> WorldConfig:
+    return WorldConfig(**_read_config(path, args, _WORLD_KEYS)[None])
 
 
 def load_run_config(path, args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest]:
@@ -109,29 +112,12 @@ def load_run_config(path, args: argparse.Namespace) -> tuple[RunConfig, DatasetM
     unknown role, a duplicate id, a path escaping its directory) is a config
     error; the parsed manifest is returned for loading.
     """
-    plain: dict = {}
-    spectral: dict = {}
-    ransac: dict = {}
-    if path:
-        for key, raw, lineno in _read_kv(path):
-            if key not in _RUN_KEYS:
-                raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            value = _parse_value(raw, _RUN_KEYS[key], key, path, lineno)
-            if key in _SPECTRAL_KEYS:
-                spectral[key] = value
-            elif key in _RANSAC_KEYS:
-                ransac["max_iterations" if key == "ransac_iterations" else key] = value
-            else:
-                plain[key] = value
-    for attr in ("manifest", "strategy", "n_topk", "seed", "threads", "out"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            plain[attr] = value
+    values = _read_config(path, args, _RUN_KEYS)
     try:
         cfg = RunConfig(
-            spectral=SpectralParams(**spectral),
-            ransac=RansacParams(**ransac),
-            **plain,
+            spectral=SpectralParams(**values["spectral"]),
+            ransac=RansacParams(**values["ransac"]),
+            **values[None],
         )
     except (ValueError, ScanrankError) as exc:
         raise InvalidConfigError(f"{path}: {exc}" if path else str(exc)) from exc
@@ -144,10 +130,7 @@ def load_run_config(path, args: argparse.Namespace) -> tuple[RunConfig, DatasetM
 
 
 def _cmd_synth(args) -> int:
-    cfg = load_world_config(args.config, args.seed) if args.config else WorldConfig(
-        seed=args.seed if args.seed is not None else 0
-    )
-    world = generate_world(cfg)
+    world = generate_world(load_world_config(args.config, args))
     manifest = export_world(world, args.out)
     print(manifest)
     return 0

@@ -27,7 +27,6 @@ from .metrics import (
 )
 from .registration import RansacParams, ransac_register
 from .rerank import (
-    RerankParams,
     Strategy,
     rerank_alpha_qe,
     rerank_average_qe,
@@ -63,6 +62,8 @@ class RunConfig:
                 raise ValueError(f"unknown strategy {name!r}, expected one of {known}")
         if self.n_topk < 1:
             raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {self.threads}")
         if not all(k >= 1 for k in self.bench_n_topk):
@@ -78,6 +79,11 @@ class RunConfig:
 
     def workers(self) -> int:
         return self.threads if self.threads > 0 else len(os.sched_getaffinity(0))
+
+    def threads_used(self, strategies) -> int:
+        """Threads a run of `strategies` spreads work over: only RANSAC-RIR
+        uses the workers, every other strategy runs on one."""
+        return self.workers() if Strategy.RANSAC_RIR.value in strategies else 1
 
 
 def _query_seed(run_seed: int, query_ordinal: int, stream: int) -> int:
@@ -96,12 +102,10 @@ def _rerank(
     if strategy is Strategy.NONE:
         return ranked
     if strategy is Strategy.SPECTRAL:
-        params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral)
-        return rerank_spectral(query, ranked, params)
+        return rerank_spectral(query, ranked, cfg.n_topk, cfg.spectral)
     if strategy is Strategy.RANSAC_RIR:
         ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
-        params = RerankParams(n_topk=cfg.n_topk, spectral=cfg.spectral, ransac=ransac)
-        return rerank_rir(query, ranked, params, workers=workers)
+        return rerank_rir(query, ranked, cfg.n_topk, cfg.spectral, ransac, workers=workers)
     n_qe = min(_n_qe(cfg), len(ranked))
     # the new list holds as many rows as the old; its keys order the rest
     if strategy is Strategy.AVERAGE_QE:
@@ -246,8 +250,7 @@ def build_report(
         "mean_retrieve_ms": float(np.mean([o.timings["retrieve_ms"] for o in outcomes])),
         "mean_rerank_ms": float(np.mean([o.timings["rerank_ms"] for o in outcomes])),
         "mean_register_ms": float(np.mean([o.timings["register_ms"] for o in outcomes])),
-        # only RANSAC-RIR spreads work over threads; the others run on one
-        "threads": cfg.workers() if Strategy(cfg.strategy) is Strategy.RANSAC_RIR else 1,
+        "threads": cfg.threads_used((cfg.strategy,)),
     } if outcomes else {}
 
     # the header leaves out fields that cannot change a result: the thread
@@ -325,7 +328,7 @@ def run_bench(
                 "bench_n_topk": list(cfg.bench_n_topk)},
         per_query=[],
         summary=summary,
-        timing={"threads": cfg.workers()},
+        timing={"threads": cfg.threads_used(cfg.bench_strategies)},
     )
     if cfg.out:
         write_results(cfg.out, report)

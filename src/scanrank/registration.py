@@ -52,6 +52,8 @@ class RansacParams:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

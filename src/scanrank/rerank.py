@@ -9,7 +9,7 @@ database, so their output may contain rows absent from the input list.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from enum import Enum
 
 import numpy as np
@@ -38,17 +38,6 @@ class Strategy(Enum):
     ALPHA_QE = "alpha_qe"
 
 
-@dataclass(frozen=True)
-class RerankParams:
-    n_topk: int = 20
-    spectral: SpectralParams = field(default_factory=SpectralParams)
-    ransac: RansacParams = field(default_factory=RansacParams)
-
-    def __post_init__(self) -> None:
-        if self.n_topk < 1:
-            raise ValueError(f"n_topk must be >= 1, got {self.n_topk}")
-
-
 def _reorder_prefix(ranked: RankedList, fitness: np.ndarray) -> RankedList:
     """Stable descending sort of the first len(fitness) rows by fitness; the
     tail keeps its original order, and the keys order the rows past it."""
@@ -58,21 +47,31 @@ def _reorder_prefix(ranked: RankedList, fitness: np.ndarray) -> RankedList:
     return RankedList(ranked.database, rows, ranked.keys)
 
 
-def rerank_spectral(query: ScanRecord, ranked: RankedList, params: RerankParams) -> RankedList:
+def rerank_spectral(
+    query: ScanRecord,
+    ranked: RankedList,
+    n_topk: int,
+    spectral: SpectralParams = SpectralParams(),
+) -> RankedList:
     """Re-rank the top-k prefix by descending spectral fitness s*, scored in
     one batched stack on the calling thread."""
-    scans = ranked.scans(params.n_topk)
-    scores, _ = score_candidates(query, scans, params.spectral, order=True)
+    scans = ranked.scans(n_topk)
+    scores, _ = score_candidates(query, scans, spectral, order=True)
     return _reorder_prefix(ranked, scores)
 
 
-def _rir_fitness(query: ScanRecord, cand: ScanRecord, params: RerankParams, ordinal: int) -> float:
+def _rir_fitness(
+    query: ScanRecord,
+    cand: ScanRecord,
+    spectral: SpectralParams,
+    ransac: RansacParams,
+    ordinal: int,
+) -> float:
     # Candidates that cannot produce a score get fitness 0 rather than
     # failing the query: the re-ranker must always return a full list.
     try:
-        corrs = match_features(query, cand, params.spectral.n_max, params.spectral.mutual)
-        ransac = replace(params.ransac, seed=params.ransac.seed ^ ordinal)
-        return ransac_register(corrs, ransac).inlier_ratio
+        corrs = match_features(query, cand, spectral.n_max, spectral.mutual)
+        return ransac_register(corrs, replace(ransac, seed=ransac.seed ^ ordinal)).inlier_ratio
     except (TooFewCorrespondencesError, DegenerateConfigurationError, EmptyMatrixError):
         return 0.0
 
@@ -80,7 +79,9 @@ def _rir_fitness(query: ScanRecord, cand: ScanRecord, params: RerankParams, ordi
 def rerank_rir(
     query: ScanRecord,
     ranked: RankedList,
-    params: RerankParams,
+    n_topk: int,
+    spectral: SpectralParams = SpectralParams(),
+    ransac: RansacParams = RansacParams(),
     workers: int = 1,
 ) -> RankedList:
     """Re-rank the top-k prefix by inlier ratio after per-candidate RANSAC.
@@ -88,14 +89,14 @@ def rerank_rir(
     Each candidate registers with a seed derived from its ordinal, so the
     result is independent of scheduling.
     """
-    scans = ranked.scans(params.n_topk)
+    scans = ranked.scans(n_topk)
     if workers > 1 and len(scans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fitness = list(pool.map(
-                lambda io: _rir_fitness(query, io[1], params, io[0]), enumerate(scans)
+                lambda io: _rir_fitness(query, io[1], spectral, ransac, io[0]), enumerate(scans)
             ))
     else:
-        fitness = [_rir_fitness(query, cand, params, i) for i, cand in enumerate(scans)]
+        fitness = [_rir_fitness(query, cand, spectral, ransac, i) for i, cand in enumerate(scans)]
     return _reorder_prefix(ranked, np.asarray(fitness))
 
 

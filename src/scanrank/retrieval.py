@@ -160,7 +160,10 @@ class RankedList:
         return 1 + _rows_before(self.keys, p)
 
     def scans(self, n: int) -> list[ScanRecord]:
-        """Records of the first n held rows, in ranked order."""
+        """Records of the first n held rows, in ranked order: the prefix a
+        re-ranker scores, so n is its n_topk and must be at least 1."""
+        if n < 1:
+            raise ValueError(f"n_topk must be >= 1, got {n}")
         records = self.database.records
         return [records[i] for i in self.rows[:n].tolist()]
 

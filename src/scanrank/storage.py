@@ -131,15 +131,25 @@ class DatasetManifest:
     queries: tuple[tuple[str, str], ...]
 
 
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The UTF-8 text lines of `path`; a missing or undecodable file raises
+    an error that names it."""
+    if not path.exists():
+        raise MissingFileError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"manifest not found: {path}")
+    lines = _read_lines(path, "manifest")
     base = os.path.dirname(path)
     db: list[tuple[str, str]] = []
     queries: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -228,30 +238,33 @@ def write_results(path, report: ResultsReport) -> None:
 
 def read_results(path) -> ResultsReport:
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"results file not found: {path}")
     config: dict = {}
     summary: dict = {}
     timing: dict = {}
     per_query: list[dict] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path, "results file"), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IoError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise IoError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
         kind = rec.pop("kind", None)
-        if kind == "header":
-            config = rec["config"]
-        elif kind == "query":
-            per_query.append(rec)
-        elif kind == "timing":
-            timing = rec
-        elif kind == "summary":
-            summary = rec["summary"]
-        else:
-            raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")
+        try:
+            if kind == "header":
+                config = rec["config"]
+            elif kind == "query":
+                per_query.append(rec)
+            elif kind == "timing":
+                timing = rec
+            elif kind == "summary":
+                summary = rec["summary"]
+            else:
+                raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")
+        except KeyError as exc:
+            raise IoError(f"{path}:{lineno}: {kind} record has no {exc}") from exc
     return ResultsReport(config=config, per_query=per_query, summary=summary, timing=timing)
 
 

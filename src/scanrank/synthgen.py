@@ -48,6 +48,7 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         checks = [
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.num_places >= 1, "num_places must be >= 1"),
             (self.num_queries >= 0, "num_queries must be >= 0"),
             (self.place_spacing > 0, "place_spacing must be > 0"),

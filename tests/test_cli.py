@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,11 @@ import pytest
 from scanrank import cli
 from scanrank.cli import build_parser, main
 from scanrank.pipeline import RunConfig
+from scanrank.registration import RansacParams
 from scanrank.rerank import Strategy
+from scanrank.spectral import SpectralParams
 from scanrank.storage import read_results
+from scanrank.synthgen import WorldConfig
 
 
 def tree_digest(root: Path) -> dict:
@@ -63,6 +68,85 @@ class TestSynth:
         bad = write_config(tmp_path / "bad.cfg", not_a_key=3)
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "w")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == "scanrank: config error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_non_utf8_config_exits_1_naming_the_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n# caf\xe9\n")
+        argv = [command, "--config", str(bad)] + (["--out", str(tmp_path / "w")]
+                                                    if command == "synth" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"scanrank: config error: {bad}: not UTF-8 text")
+
+
+def readme_run_keys() -> set[str]:
+    """The run/bench config keys the README lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = text.split("config keys for `run`/`bench`:", 1)[1].split("`synth` accepts", 1)[0]
+    return set(re.findall(r"`([a-z_]+)`", listing))
+
+
+class TestConfigSchema:
+    """Every config key, set to a value other than its default, loads to the
+    dataclass field it names."""
+
+    RUN = dict(
+        strategy="alpha_qe", n_topk=7, n_qe=3, alpha=2.5, radii="4,9.5", recall_ks="1,3",
+        seed=11, threads=2, out="elsewhere.jsonl", d_thr=0.4, n_max=64, tol=1e-7,
+        max_iters=50, mutual="true", inlier_threshold=0.7, ransac_iterations=300,
+        confidence=0.99, bench_n_topk="3,5", bench_strategies="none,average_qe",
+    )
+    WORLD = dict(
+        seed=3, num_places=40, num_queries=7, place_spacing=30.0, points_per_scan=24,
+        crop_radius=9.0, alias_fraction=0.1, feature_noise_sigma=0.02, outlier_rate=0.2,
+        descriptor_noise_sigma=0.3, pose_trans_sigma=0.25, pose_rot_sigma_deg=2.0,
+        descriptor_dim=8, feature_dim=4,
+    )
+
+    def test_every_run_key_sets_its_field(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("db a a.sgv\n")
+        path = write_config(tmp_path / "run.cfg", manifest=manifest, **self.RUN)
+        cfg, _ = cli.load_run_config(path, argparse.Namespace())
+        assert cfg == RunConfig(
+            manifest=str(manifest), strategy="alpha_qe", n_topk=7, n_qe=3, alpha=2.5,
+            radii=(4.0, 9.5), recall_ks=(1, 3), seed=11, threads=2, out="elsewhere.jsonl",
+            spectral=SpectralParams(d_thr=0.4, n_max=64, tol=1e-7, max_iters=50, mutual=True),
+            ransac=RansacParams(inlier_threshold=0.7, max_iterations=300, confidence=0.99),
+            bench_n_topk=(3, 5), bench_strategies=("none", "average_qe"),
+        )
+        assert cfg.ransac.seed == RansacParams().seed  # the run seed replaces it per query
+
+    def test_every_world_key_sets_its_field(self, tmp_path):
+        path = write_config(tmp_path / "world.cfg", **self.WORLD)
+        assert cli.load_world_config(path) == WorldConfig(**self.WORLD)
+        assert set(self.WORLD) == {f.name for f in fields(WorldConfig)}
+
+    def test_run_keys_are_the_readme_list(self, tmp_path, capsys):
+        # 20 keys, set above; no field name outside the list is a key
+        assert set(self.RUN) | {"manifest"} == readme_run_keys() == set(cli._RUN_KEYS)
+        assert len(readme_run_keys()) == 20
+        assert set(cli._WORLD_KEYS) == set(self.WORLD)
+        names = {f.name for cls in (RunConfig, SpectralParams, RansacParams)
+                 for f in fields(cls)}
+        for name in sorted(names - readme_run_keys()):
+            path = write_config(tmp_path / f"{name}.cfg", **{name: 1})
+            assert main(["run", "--config", str(path)]) == 1
+            assert f"unknown key {name!r}" in capsys.readouterr().err
+
+    def test_a_field_without_a_parser_has_no_key(self):
+        @dataclass
+        class Odd:
+            x: complex = 0j
+
+        with pytest.raises(KeyError):
+            cli._keys(Odd)
 
 
 class TestRun:
@@ -131,6 +215,7 @@ class TestRun:
         ([], {"inlier_threshold": "nan"}, "inlier_threshold must be finite and > 0, got nan"),
         ([], {"inlier_threshold": "inf"}, "inlier_threshold must be finite and > 0, got inf"),
         (["--threads", "-1"], {}, "threads must be >= 0 (0 = one per CPU), got -1"),
+        (["--seed", "-1"], {}, "seed must be >= 0, got -1"),
     ])
     def test_out_of_range_value_is_a_config_error(self, small_dataset, tmp_path, capsys,
                                                   monkeypatch, argv, config, message):
@@ -156,6 +241,15 @@ class TestRun:
             assert RunConfig(strategy=name).strategy == name
         with pytest.raises(ValueError):
             RunConfig(strategy="sorcery")
+
+    @pytest.mark.parametrize("record", [
+        "[1, 2]", '{"kind": "header"}', '{"kind": "summary", "mrr": 1.0}',
+    ], ids=["array", "header-without-config", "summary-without-summary"])
+    def test_report_on_a_malformed_record_exits_2(self, tmp_path, capsys, record):
+        path = tmp_path / "r.jsonl"
+        path.write_text(record + "\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"scanrank: error: {path}:1: ")
 
     def test_usage_error_exits_1(self):
         assert main(["run", "--strategy", "not-a-choice"]) == 1
@@ -210,6 +304,19 @@ class TestBench:
         assert [(r["strategy"], r["n_topk"]) for r in rows] == [
             ("spectral", 2), ("spectral", 4), ("ransac_rir", 2), ("ransac_rir", 4),
         ]
+
+    @pytest.mark.parametrize("strategies, threads", [
+        ("spectral", 1), ("spectral,ransac_rir", 3),
+    ])
+    def test_bench_records_the_threads_that_ran(self, small_dataset, tmp_path, capsys,
+                                                strategies, threads):
+        # the rule run uses: RANSAC-RIR's worker count if it is in the grid, else 1
+        cfg = write_config(tmp_path / "b.cfg", manifest=str(small_dataset),
+                           bench_n_topk="2", bench_strategies=strategies)
+        out = tmp_path / "bench.jsonl"
+        assert main(["bench", "--config", str(cfg), "--threads", "3",
+                     "--out", str(out)]) == 0
+        assert read_results(out).timing["threads"] == threads
 
     def test_report_on_bench_file(self, small_dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.cfg", manifest=str(small_dataset),

@@ -237,7 +237,7 @@ class TestRunConfig:
         dict(strategy="sorcery"), dict(strategy="None"), dict(bench_strategies=("rir",)),
         dict(n_topk=0), dict(bench_n_topk=(2, 0)), dict(n_qe=-1), dict(alpha=0.0),
         dict(alpha=float("nan")), dict(radii=()), dict(radii=(5.0, 0.0)), dict(recall_ks=(1, 0)),
-        dict(threads=-1), dict(threads=-4),
+        dict(threads=-1), dict(threads=-4), dict(seed=-1),
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):

@@ -108,6 +108,11 @@ class TestRansacParams:
         with pytest.raises(ValueError, match="inlier_threshold must be finite and > 0"):
             RansacParams(inlier_threshold=tau)
 
+    def test_rejects_a_negative_seed(self):
+        # rerank_rir derives each candidate's seed as seed ^ ordinal
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RansacParams(seed=-1)
+
     def test_accepts_a_large_finite_threshold(self):
         assert RansacParams(inlier_threshold=1e300).inlier_threshold == 1e300
 

@@ -5,9 +5,8 @@ import pytest
 
 from scanrank.errors import UnresolvedCandidateError, ZeroVectorError
 from scanrank.matching import match_features
-from scanrank.registration import ransac_register
+from scanrank.registration import RansacParams, ransac_register
 from scanrank.rerank import (
-    RerankParams,
     rerank_alpha_qe,
     rerank_average_qe,
     rerank_rir,
@@ -44,14 +43,14 @@ def reversed_list(ranked):
 class TestRerankSpectral:
     def test_n_topk_1_keeps_order(self, rng):
         query, ranked = feature_world(rng)
-        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=1))
+        out = rerank_spectral(query, reversed_list(ranked), 1)
         assert out.database is ranked.database
         assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_promotes_geometrically_consistent_candidate(self, rng):
         query, ranked = feature_world(rng)
         # descriptor order put the copy last; spectral fitness pulls it to 1
-        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=6))
+        out = rerank_spectral(query, reversed_list(ranked), 6)
         assert out.rows[0] == 0
         assert out.ids[0] == "c0"
 
@@ -62,19 +61,19 @@ class TestRerankSpectral:
         cands = [make_scan(f"c{i}", cloud, features=feats, descriptor=np.zeros(4))
                  for i in range(4)]
         ranked = listed(build_index(cands), [2, 0, 3, 1])
-        out = rerank_spectral(query, ranked, RerankParams(n_topk=4))
+        out = rerank_spectral(query, ranked, 4)
         assert out.rows.tolist() == [2, 0, 3, 1]  # exact score ties keep input order
 
     def test_tail_beyond_n_topk_untouched(self, rng):
         query, ranked = feature_world(rng)
         reversed_ranked = reversed_list(ranked)
-        out = rerank_spectral(query, reversed_ranked, RerankParams(n_topk=3))
+        out = rerank_spectral(query, reversed_ranked, 3)
         assert out.rows[3:].tolist() == reversed_ranked.rows[3:].tolist() == [2, 1, 0]
         assert sorted(out.rows[:3].tolist()) == [3, 4, 5]
 
     def test_permutation_of_input_ids(self, rng):
         query, ranked = feature_world(rng)
-        out = rerank_spectral(query, reversed_list(ranked), RerankParams(n_topk=6))
+        out = rerank_spectral(query, reversed_list(ranked), 6)
         assert sorted(out.rows.tolist()) == list(range(6))
         assert sorted(out.ids) == sorted(ranked.ids)
 
@@ -100,44 +99,50 @@ def test_order_mode_permutes_as_tol_mode_scores_sort(seeded_world, k, mutual):
     # rerank_spectral stops each candidate once its rank is proven; its
     # order must equal the stable descending argsort of the converged s*
     world, index = seeded_world
-    params = RerankParams(n_topk=k, spectral=SpectralParams(mutual=mutual))
+    spectral = SpectralParams(mutual=mutual)
     for query in world.queries:
         ranked = query_topk(index, query.global_descriptor, k=k)
-        s_star, _ = score_candidates(query, ranked.scans(k), params.spectral)
+        s_star, _ = score_candidates(query, ranked.scans(k), spectral)
         want = ranked.rows[np.argsort(-s_star, kind="stable")].tolist()
-        assert rerank_spectral(query, ranked, params).rows.tolist() == want
+        assert rerank_spectral(query, ranked, k, spectral).rows.tolist() == want
 
 
 class TestRerankRir:
     def test_n_topk_1_keeps_order(self, rng):
         query, ranked = feature_world(rng)
-        out = rerank_rir(query, reversed_list(ranked), RerankParams(n_topk=1))
+        out = rerank_rir(query, reversed_list(ranked), 1)
         assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_perfect_copy_beats_random_geometry(self, rng):
         query, ranked = feature_world(rng)
-        params = RerankParams(n_topk=6)
-        out = rerank_rir(query, reversed_list(ranked), params)
+        out = rerank_rir(query, reversed_list(ranked), 6)
         assert out.rows[0] == 0
         assert out.ids[0] == "c0"
         copy = ranked.database.records[0]
-        corrs = match_features(query, copy, params.spectral.n_max, params.spectral.mutual)
-        assert ransac_register(corrs, params.ransac).inlier_ratio == 1.0  # RIR of an exact copy
+        spectral = SpectralParams()
+        corrs = match_features(query, copy, spectral.n_max, spectral.mutual)
+        assert ransac_register(corrs, RansacParams()).inlier_ratio == 1.0  # RIR of an exact copy
 
     def test_too_few_correspondences_gets_zero_fitness(self, rng):
         # 2 corrs < minimum of 3: every fitness is 0, so the stable sort
         # keeps the input order even with the exact copy last
         query, ranked = feature_world(rng)
-        params = RerankParams(n_topk=6, spectral=SpectralParams(n_max=2))
-        out = rerank_rir(query, reversed_list(ranked), params)
+        out = rerank_rir(query, reversed_list(ranked), 6, SpectralParams(n_max=2))
         assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_scheduling_independence(self, rng):
         query, ranked = feature_world(rng, n_candidates=8)
-        params = RerankParams(n_topk=8)
-        base = rerank_rir(query, ranked, params, workers=1)
-        again = rerank_rir(query, ranked, params, workers=4)
+        base = rerank_rir(query, ranked, 8, workers=1)
+        again = rerank_rir(query, ranked, 8, workers=4)
         assert np.array_equal(base.rows, again.rows)
+
+
+@pytest.mark.parametrize("rerank", [rerank_spectral, rerank_rir])
+def test_n_topk_0_is_rejected(rng, rerank):
+    # an empty prefix would return the input order as if it were re-ranked
+    query, ranked = feature_world(rng)
+    with pytest.raises(ValueError, match="n_topk must be >= 1, got 0"):
+        rerank(query, ranked, 0)
 
 
 def descriptor_db(descriptors):
@@ -252,14 +257,13 @@ class TestAliasedWorldRerank:
             points_per_scan=48, outlier_rate=0.2,
         ))
         index = build_index(world.database)
-        params = RerankParams(n_topk=10)
         repaired = 0
         for query in world.queries:
             ranked = query_topk(index, query.global_descriptor, k=len(world.database))
             positives = world.truth[query.id]
             if ranked.ids[0] in positives:
                 continue
-            out = rerank_spectral(query, ranked, params)
+            out = rerank_spectral(query, ranked, 10)
             assert out.ids[0] in positives
             repaired += 1
         assert repaired >= 2  # the seed produces several aliased failures

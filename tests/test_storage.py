@@ -426,6 +426,12 @@ class TestManifest:
         with pytest.raises(IoError, match=r"m\.txt:3: .*escapes the dataset directory"):
             read_manifest(manifest)
 
+    def test_non_utf8_manifest_is_io_error_naming_the_file(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"db a a.sgv\nquery \xff q.sgv\n")
+        with pytest.raises(IoError, match=rf"{re.escape(str(manifest))}: not UTF-8 text"):
+            read_manifest(manifest)
+
     def test_nested_relative_path_is_accepted(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("db a scans/./a.sgv\n")
@@ -476,6 +482,23 @@ class TestResultsFile:
         path = tmp_path / "r.jsonl"
         write_results(path, ResultsReport(config={}, summary={"v": 1}))
         assert summary_line(path) == '{"kind": "summary", "summary": {"v": 1}}'
+
+    def test_non_utf8_results_file_is_io_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"kind": "summary", "summary": {"\xff": 1}}\n')
+        with pytest.raises(IoError, match=rf"{re.escape(str(path))}: not UTF-8 text"):
+            read_results(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"kind": "header"}', "header record has no 'config'"),
+        ('{"kind": "summary", "mrr": 1.0}', "summary record has no 'summary'"),
+    ], ids=["array", "header-without-config", "summary-without-summary"])
+    def test_malformed_record_is_io_error_at_its_line(self, tmp_path, record, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"config": {}, "kind": "header"}\n' + record + "\n")
+        with pytest.raises(IoError, match=rf"{re.escape(str(path))}:2: {re.escape(message)}"):
+            read_results(path)
 
     def test_unwritable_target_raises_io_error(self, tmp_path):
         blocker = tmp_path / "file"

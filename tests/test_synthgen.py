@@ -26,6 +26,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             WorldConfig(feature_noise_sigma=-0.1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0, got -1"):
+            WorldConfig(seed=-1)
+
     def test_rejects_all_places_aliased(self):
         with pytest.raises(InvalidConfigError):
             WorldConfig(num_places=4, alias_fraction=1.0)
