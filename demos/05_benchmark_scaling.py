@@ -10,7 +10,7 @@ registration candidates over a pool.
 """
 
 from scanrank import WorldConfig, generate_world
-from scanrank.pipeline import RunConfig, bench_table, run_bench
+from scanrank.pipeline import RunConfig, run_bench
 
 world = generate_world(WorldConfig(seed=0, num_places=80, num_queries=20))
 cfg = RunConfig(
@@ -21,7 +21,10 @@ cfg = RunConfig(
 )
 
 rows, _ = run_bench(world.database, world.queries, cfg)
-print(bench_table(rows))
+print(f"{'strategy':<12} {'n_topk':>6} {'t_rerank_ms':>12} {'R@1':>7} {'MRR':>7}")
+for r in rows:
+    print(f"{r.strategy:<12} {r.n_topk:>6d} {r.mean_rerank_ms:>12.3f} "
+          f"{r.recall_at_1:>7.2f} {r.mrr:>7.2f}")
 
 by = {(r.strategy, r.n_topk): r.mean_rerank_ms for r in rows}
 for strategy in cfg.bench_strategies:

@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import InvalidConfigError, ScanrankError
-from .pipeline import RunConfig, bench_table, run_bench, run_from_manifest
+from .pipeline import RunConfig, run_bench, run_from_manifest
 from .registration import RansacParams
 from .rerank import Strategy
 from .spectral import SpectralParams
@@ -120,7 +120,7 @@ def load_run_config(path, args: argparse.Namespace) -> tuple[RunConfig, DatasetM
             **values[None],
         )
     except (ValueError, ScanrankError) as exc:
-        raise InvalidConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+        raise InvalidConfigError(str(exc)) from exc
     if not cfg.manifest:
         raise InvalidConfigError("a manifest is required (config key 'manifest' or --manifest)")
     try:
@@ -148,8 +148,8 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg, manifest = load_run_config(args.config, args)
     database, queries = load_dataset(manifest)
-    rows, report = run_bench(database, queries, cfg)
-    print(bench_table(rows))
+    _, report = run_bench(database, queries, cfg)
+    _print_summary(report.summary)
     if cfg.out:
         print(f"results written to {cfg.out}")
     return 0

@@ -149,8 +149,6 @@ def process_queries(
             ranked_post = ranked_pre
         t2 = time.perf_counter()
 
-        pose = None
-        gt_rel = None
         top1 = db.records[ranked_post.rows[0]]
         try:
             corrs = match_features(query, top1, cfg.spectral.n_max, cfg.spectral.mutual)
@@ -313,35 +311,15 @@ def run_bench(
                 recall_at_1=report.recall_at[radius][1],
                 mrr=report.mrr[radius],
             ))
-    summary = {
-        "bench": [
-            {"strategy": r.strategy, "n_topk": r.n_topk,
-             "mean_rerank_ms": r.mean_rerank_ms,
-             "recall_at_1": r.recall_at_1, "mrr": r.mrr}
-            for r in rows
-        ],
-        "radius": radius,
-    }
     report = ResultsReport(
         config={"manifest": str(cfg.manifest), "seed": cfg.seed,
                 "bench_strategies": list(cfg.bench_strategies),
                 "bench_n_topk": list(cfg.bench_n_topk)},
         per_query=[],
-        summary=summary,
+        summary={"bench": [asdict(r) for r in rows], "radius": radius},
         timing={"threads": cfg.threads_used(cfg.bench_strategies)},
     )
     if cfg.out:
         write_results(cfg.out, report)
     return rows, report
 
-
-def bench_table(rows: list[BenchRow]) -> str:
-    """Aligned text table of benchmark rows."""
-    header = f"{'strategy':<12} {'n_topk':>6} {'t_rerank_ms':>12} {'R@1':>7} {'MRR':>7}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r.strategy:<12} {r.n_topk:>6d} {r.mean_rerank_ms:>12.3f} "
-            f"{r.recall_at_1:>7.2f} {r.mrr:>7.2f}"
-        )
-    return "\n".join(lines)

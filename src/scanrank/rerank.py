@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DegenerateConfigurationError,
     DimMismatchError,
-    EmptyMatrixError,
     TooFewCorrespondencesError,
     ZeroVectorError,
 )
@@ -72,7 +71,7 @@ def _rir_fitness(
     try:
         corrs = match_features(query, cand, spectral.n_max, spectral.mutual)
         return ransac_register(corrs, replace(ransac, seed=ransac.seed ^ ordinal)).inlier_ratio
-    except (TooFewCorrespondencesError, DegenerateConfigurationError, EmptyMatrixError):
+    except (TooFewCorrespondencesError, DegenerateConfigurationError):
         return 0.0
 
 

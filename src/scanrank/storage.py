@@ -238,8 +238,7 @@ def write_results(path, report: ResultsReport) -> None:
 
 def read_results(path) -> ResultsReport:
     path = Path(path)
-    config: dict = {}
-    summary: dict = {}
+    objects: dict = {"config": {}, "summary": {}}  # the header's config, the summary's summary
     timing: dict = {}
     per_query: list[dict] = []
     for lineno, line in enumerate(_read_lines(path, "results file"), 1):
@@ -252,20 +251,21 @@ def read_results(path) -> ResultsReport:
         if not isinstance(rec, dict):
             raise IoError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
         kind = rec.pop("kind", None)
-        try:
-            if kind == "header":
-                config = rec["config"]
-            elif kind == "query":
-                per_query.append(rec)
-            elif kind == "timing":
-                timing = rec
-            elif kind == "summary":
-                summary = rec["summary"]
-            else:
-                raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")
-        except KeyError as exc:
-            raise IoError(f"{path}:{lineno}: {kind} record has no {exc}") from exc
-    return ResultsReport(config=config, per_query=per_query, summary=summary, timing=timing)
+        if kind == "query":
+            per_query.append(rec)
+        elif kind == "timing":
+            timing = rec
+        elif kind in ("header", "summary"):
+            key = "config" if kind == "header" else "summary"
+            if key not in rec:
+                raise IoError(f"{path}:{lineno}: {kind} record has no {key!r}")
+            if not isinstance(rec[key], dict):
+                raise IoError(f"{path}:{lineno}: {kind} record's {key!r} is not a JSON object, "
+                              f"got {type(rec[key]).__name__}")
+            objects[key] = rec[key]
+        else:
+            raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")
+    return ResultsReport(per_query=per_query, timing=timing, **objects)
 
 
 def summary_line(path) -> str:

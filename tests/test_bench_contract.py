@@ -90,3 +90,33 @@ def test_eigvalsh_spot_check_passes_on_the_pool_path(bench, monkeypatch, tmp_pat
     ctx = workloads.Context(wl, world_seed=3, run_seed=3, workdir=tmp_path, world=world)
     assert ctx.threads == 2
     assert workloads.eigvalsh_spot_check(ctx) <= workloads.EIG_RTOL
+
+
+def test_traced_rir_pool_spans_hang_below_their_query(bench):
+    # RANSAC-RIR registers its candidates in a pool; the tracer links worker
+    # spans only through the pools of the modules in POOL_MODULES, so a pool
+    # built elsewhere leaves the workers' spans without a parent
+    layers, spans, workloads = bench
+    tracer = spans.Tracer()
+    tracer.install(layers.TARGETS, layers.POOL_MODULES)
+    try:
+        with workloads._span_cm(tracer, spans.SETUP, None):
+            world = synthgen.generate_world(synthgen.WorldConfig(
+                seed=3, num_places=12, num_queries=4, points_per_scan=32))
+        cfg = RunConfig(strategy="ransac_rir", n_topk=3, threads=2)
+        with workloads._span_cm(tracer, spans.PASS, (1, None)):
+            outcomes = pipeline.process_queries(world.database, world.queries, cfg)
+            pipeline.build_report(outcomes, cfg, len(world.database))
+    finally:
+        tracer.uninstall()
+
+    assert spans.orphans(tracer.spans) == []
+    queries = len(world.queries)
+    # n_topk candidate registrations and the top-1 registration per query
+    registrations = sum(s.name == "registration.ransac_register" for s in tracer.spans)
+    assert registrations == (cfg.n_topk + 1) * queries
+    _, reconciles, count = layers.from_trace(
+        tracer.spans, workloads.WORKLOADS["rir_k20"].required, queries, 1.0,
+        workloads.RECONCILE_RTOL)
+    assert reconciles[0], reconciles[1]
+    assert count == len(tracer.spans)

@@ -230,6 +230,15 @@ class TestRun:
         assert message in err
         assert out == ""
 
+    def test_a_flags_bad_value_does_not_blame_the_config_file(self, small_dataset, tmp_path,
+                                                               capsys):
+        cfg = write_config(tmp_path / "r.cfg", n_topk=3)
+        assert main(["run", "--config", str(cfg), "--manifest", str(small_dataset),
+                     "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert str(cfg) not in err and "r.cfg" not in err
+
     def test_strategy_choices_are_the_strategy_enum(self):
         names = {s.value for s in Strategy}
         sub = next(a for a in build_parser()._actions
@@ -244,7 +253,9 @@ class TestRun:
 
     @pytest.mark.parametrize("record", [
         "[1, 2]", '{"kind": "header"}', '{"kind": "summary", "mrr": 1.0}',
-    ], ids=["array", "header-without-config", "summary-without-summary"])
+        '{"kind": "header", "config": "x"}', '{"kind": "summary", "summary": "baseline"}',
+    ], ids=["array", "header-without-config", "summary-without-summary",
+            "config-not-an-object", "summary-not-an-object"])
     def test_report_on_a_malformed_record_exits_2(self, tmp_path, capsys, record):
         path = tmp_path / "r.jsonl"
         path.write_text(record + "\n")
@@ -317,6 +328,23 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--threads", "3",
                      "--out", str(out)]) == 0
         assert read_results(out).timing["threads"] == threads
+
+    def test_bench_prints_the_lines_report_prints(self, small_dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "b.cfg", manifest=str(small_dataset),
+                           bench_n_topk="2,4", bench_strategies="spectral,ransac_rir")
+        out = tmp_path / "bench.jsonl"
+        assert main(["bench", "--config", str(cfg), "--threads", "1",
+                     "--out", str(out)]) == 0
+        *bench_lines, written = capsys.readouterr().out.splitlines()
+        assert written == f"results written to {out}"
+        assert main(["report", str(out)]) == 0
+        config, *report_lines, timing = capsys.readouterr().out.splitlines()
+        assert config.startswith("config: ") and timing.startswith("timing: ")
+        assert bench_lines == report_lines
+        assert [line.split()[:2] for line in bench_lines] == [
+            ["spectral", "n_topk=2"], ["spectral", "n_topk=4"],
+            ["ransac_rir", "n_topk=2"], ["ransac_rir", "n_topk=4"],
+        ]
 
     def test_report_on_bench_file(self, small_dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.cfg", manifest=str(small_dataset),

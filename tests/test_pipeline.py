@@ -384,7 +384,7 @@ class TestBench:
             ("spectral", 2), ("spectral", 5), ("ransac_rir", 2), ("ransac_rir", 5),
         ]
         assert all(r.mean_rerank_ms > 0 for r in rows)
-        assert len(report.summary["bench"]) == 4
+        assert report.summary["bench"] == [dataclasses.asdict(r) for r in rows]
 
     def test_single_thread_flag_keeps_recall(self, aliased_world):
         cfg1 = RunConfig(threads=1, bench_n_topk=(2,), bench_strategies=("spectral",))

@@ -493,7 +493,12 @@ class TestResultsFile:
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"kind": "header"}', "header record has no 'config'"),
         ('{"kind": "summary", "mrr": 1.0}', "summary record has no 'summary'"),
-    ], ids=["array", "header-without-config", "summary-without-summary"])
+        ('{"kind": "header", "config": "x"}',
+         "header record's 'config' is not a JSON object, got str"),
+        ('{"kind": "summary", "summary": "baseline"}',
+         "summary record's 'summary' is not a JSON object, got str"),
+    ], ids=["array", "header-without-config", "summary-without-summary",
+            "config-not-an-object", "summary-not-an-object"])
     def test_malformed_record_is_io_error_at_its_line(self, tmp_path, record, message):
         path = tmp_path / "r.jsonl"
         path.write_text('{"config": {}, "kind": "header"}\n' + record + "\n")
