@@ -173,8 +173,11 @@ def _print_summary(summary: dict) -> None:
             )
             print(f"  {float(radius):g} m: {recalls} MRR={block['mrr'][radius]:.2f}")
         if "success_rate" in block:
+            # the mean errors are null when no query registered
+            rte, rre = ("n/a" if block[key] is None else f"{block[key]:.3f}"
+                        for key in ("mean_rte", "mean_rre"))
             print(f"  success={block['success_rate']:.2f}% "
-                  f"mean_rte={block['mean_rte']:.3f} m mean_rre={block['mean_rre']:.3f} deg")
+                  f"mean_rte={rte} m mean_rre={rre} deg")
     if "top1_distance" in summary:
         for radius, stats in sorted(summary["top1_distance"].items(), key=lambda kv: float(kv[0])):
             print(f"  top-1 distance {float(radius):g} m: violations={stats['violations']} "

@@ -1,10 +1,14 @@
 """End-to-end runs: retrieve, re-rank, register, evaluate, report.
 
-Per-query failures degrade to worst-case outcomes (identity ranking, no
-pose) instead of aborting a run. All randomness derives from the run seed
-via per-query seed sequences. Only RANSAC-RIR spreads its candidates over
-`threads` workers, each seeded by its ordinal, so identical configs produce
-identical metric summaries regardless of thread count.
+`process_queries` runs stage by stage over blocks of queries: retrieval,
+re-ranking, top-1 registration, then the outcomes, each stage for every
+query of a block before the next starts. Per-query failures degrade to
+worst-case outcomes (identity ranking, no pose) instead of aborting a run.
+All randomness derives from the run seed via per-query seed sequences, so
+outcomes do not depend on the order the queries' calls run in. Only
+RANSAC-RIR spreads its candidates over `threads` workers, each seeded by its
+ordinal, so identical configs produce identical metric summaries regardless
+of thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .rerank import (
     rerank_rir,
     rerank_spectral,
 )
-from .retrieval import RankedList, build_index, query_topk
+from .retrieval import Database, RankedList, build_index, query_topk
 from .spectral import SpectralParams
 from .storage import DatasetManifest, ResultsReport, load_dataset, write_results
 
@@ -117,12 +121,26 @@ def _n_qe(cfg: RunConfig) -> int:
     return cfg.n_topk if cfg.n_qe is None else cfg.n_qe
 
 
+# Queries per block. Within a block each stage runs for every query before
+# the next stage starts, so a stage's code and data stay in cache from one
+# call to the next; the block bounds the rankings held between stages (each
+# carries an N-float key vector) at _BLOCK · N floats.
+_BLOCK = 64
+
+
 def process_queries(
     database: list[ScanRecord],
     queries: list[ScanRecord],
     cfg: RunConfig,
 ) -> list[QueryOutcome]:
     """Retrieve, re-rank and register every query; never aborts on one query.
+
+    Queries go in blocks of `_BLOCK`, stage by stage: retrieval for every
+    query of the block, then re-ranking, then top-1 matching and RANSAC,
+    then the outcomes. Every call gets the arguments and seeds it would get
+    query by query, and no stage reads another query's state, so the
+    outcomes do not depend on the block size. Each timing covers that
+    query's own call.
 
     Each outcome holds the first-positive rank of the full ranking before
     and after re-ranking at every radius, from one row mask per radius,
@@ -138,55 +156,83 @@ def process_queries(
     db = build_index(database)
     workers = cfg.workers()
     k0 = min(len(db), max(cfg.n_topk, *cfg.recall_ks, _n_qe(cfg)))
-    outcomes: list[QueryOutcome] = []
-    for qi, query in enumerate(queries):
-        t0 = time.perf_counter()
-        ranked_pre = query_topk(db, query.global_descriptor, k=k0)
-        t1 = time.perf_counter()
-        try:
-            ranked_post = _rerank(cfg, query, ranked_pre, qi, workers)
-        except ScanrankError:
-            ranked_post = ranked_pre
-        t2 = time.perf_counter()
 
+    def retrieve(qi: int, query: ScanRecord) -> RankedList:
+        return query_topk(db, query.global_descriptor, k=k0)
+
+    def rerank(qi: int, query: ScanRecord, ranked_pre: RankedList) -> RankedList:
+        try:
+            return _rerank(cfg, query, ranked_pre, qi, workers)
+        except ScanrankError:
+            return ranked_pre
+
+    def register(qi: int, query: ScanRecord, ranked_post: RankedList) -> tuple:
+        """(estimated pose, ground-truth relative pose) of the top-1, or Nones."""
         top1 = db.records[ranked_post.rows[0]]
         try:
             corrs = match_features(query, top1, cfg.spectral.n_max, cfg.spectral.mutual)
             params = replace(cfg.ransac, seed=_query_seed(cfg.seed, qi, 1))
-            pose = ransac_register(corrs, params).transform
-            gt_rel = top1.gt_pose.inverse().compose(query.gt_pose)
+            return (ransac_register(corrs, params).transform,
+                    top1.gt_pose.inverse().compose(query.gt_pose))
         except ScanrankError:
-            pose = None
-            gt_rel = None
-        t3 = time.perf_counter()
+            return None, None
 
-        distances = db.distances_to(query.geo_location)
-        positives = {r: ground_truth_positives(db, distances, r) for r in cfg.radii}
-        first_pre, first_post = {}, {}
-        for r in cfg.radii:
-            mask = distances <= r
-            first_pre[r] = ranked_pre.first_rank(mask)
-            first_post[r] = ranked_post.first_rank(mask)
-        ranks = [k for k in (*first_pre.values(), *first_post.values()) if k is not None]
-        depth = min(len(db), max(cfg.n_topk, *cfg.recall_ks, *ranks))
-        outcomes.append(QueryOutcome(
-            query_id=query.id,
-            ranked_ids_pre=ranked_pre.top_ids(depth),
-            ranked_ids_post=ranked_post.top_ids(depth),
-            positives=positives,
-            first_rank_pre=first_pre,
-            first_rank_post=first_post,
-            top1_distance_pre=float(distances[ranked_pre.rows[0]]),
-            top1_distance_post=float(distances[ranked_post.rows[0]]),
-            pose_estimate=pose,
-            gt_relative=gt_rel,
-            timings={
-                "retrieve_ms": (t1 - t0) * 1e3,
-                "rerank_ms": (t2 - t1) * 1e3,
-                "register_ms": (t3 - t2) * 1e3,
-            },
-        ))
+    outcomes: list[QueryOutcome] = []
+    for start in range(0, len(queries), _BLOCK):
+        block = list(enumerate(queries[start:start + _BLOCK], start))
+        pre, retrieve_ms = _timed_stage(retrieve, block)
+        post, rerank_ms = _timed_stage(rerank, block, pre)
+        poses, register_ms = _timed_stage(register, block, post)
+        for i, (_, query) in enumerate(block):
+            timings = {"retrieve_ms": retrieve_ms[i], "rerank_ms": rerank_ms[i],
+                       "register_ms": register_ms[i]}
+            outcomes.append(_outcome(db, cfg, query, pre[i], post[i], poses[i], timings))
     return outcomes
+
+
+def _timed_stage(fn, block: list[tuple[int, ScanRecord]], *columns) -> tuple[list, list[float]]:
+    """fn(ordinal, query, *that query's column entries) for every query of
+    `block` in order; returns the results and each call's time in ms."""
+    results, ms = [], []
+    for (qi, query), *args in zip(block, *columns):
+        t0 = time.perf_counter()
+        results.append(fn(qi, query, *args))
+        ms.append((time.perf_counter() - t0) * 1e3)
+    return results, ms
+
+
+def _outcome(
+    db: Database,
+    cfg: RunConfig,
+    query: ScanRecord,
+    ranked_pre: RankedList,
+    ranked_post: RankedList,
+    registration: tuple,
+    timings: dict[str, float],
+) -> QueryOutcome:
+    distances = db.distances_to(query.geo_location)
+    positives = {r: ground_truth_positives(db, distances, r) for r in cfg.radii}
+    first_pre, first_post = {}, {}
+    for r in cfg.radii:
+        mask = distances <= r
+        first_pre[r] = ranked_pre.first_rank(mask)
+        first_post[r] = ranked_post.first_rank(mask)
+    ranks = [k for k in (*first_pre.values(), *first_post.values()) if k is not None]
+    depth = min(len(db), max(cfg.n_topk, *cfg.recall_ks, *ranks))
+    pose, gt_rel = registration
+    return QueryOutcome(
+        query_id=query.id,
+        ranked_ids_pre=ranked_pre.top_ids(depth),
+        ranked_ids_post=ranked_post.top_ids(depth),
+        positives=positives,
+        first_rank_pre=first_pre,
+        first_rank_post=first_post,
+        top1_distance_pre=float(distances[ranked_pre.rows[0]]),
+        top1_distance_post=float(distances[ranked_post.rows[0]]),
+        pose_estimate=pose,
+        gt_relative=gt_rel,
+        timings=timings,
+    )
 
 
 def _query_record(outcome: QueryOutcome, radii: tuple[float, ...]) -> dict:

@@ -17,7 +17,9 @@ max(recall_ks), the first-positive rank of both lists at every radius)).
 A positive lies in the top k exactly when the first-positive rank is <= k,
 so recall@k at any k and MRR read the same from the record as from the full
 ranking. The file is written to a temporary file and renamed onto the
-target, so a failed write leaves any earlier file intact.
+target, so a failed write leaves any earlier file intact. Reading checks
+that the summary's metric blocks and bench rows hold every field, of the
+type, that `build_report` and `run_bench` write.
 """
 
 from __future__ import annotations
@@ -236,6 +238,76 @@ def write_results(path, report: ResultsReport) -> None:
         raise IoError(f"cannot write results to {path}: {exc}") from exc
 
 
+class _Malformed(Exception):
+    pass
+
+
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer",
+          _NUMBER: "a number", _NUMBER_OR_NULL: "a number or null"}
+
+
+def _get(obj: dict, key: str, kind, where: str):
+    """obj[key] if it is a `kind`; `where` names obj in the error."""
+    if key not in obj:
+        raise _Malformed(f"{where} has no {key!r}")
+    if not isinstance(obj[key], kind):
+        raise _Malformed(f"{where}[{key!r}] is not {_KINDS[kind]}, "
+                         f"got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _check_key(key: str, parse, where: str) -> None:
+    """`float` or `int` must parse the JSON key `key` of `where`."""
+    try:
+        parse(key)
+    except ValueError:
+        raise _Malformed(f"{where} has the key {key!r}, which is not "
+                         f"{_KINDS[_NUMBER if parse is float else int]}") from None
+
+
+def _check_summary(summary: dict) -> None:
+    """Raise `_Malformed` where a metric block of a summary lacks a field, or
+    holds one of another type, that `build_report` or `run_bench` writes."""
+    if "bench" in summary:
+        for i, row in enumerate(_get(summary, "bench", list, "summary")):
+            where = f"summary['bench'][{i}]"
+            if not isinstance(row, dict):
+                raise _Malformed(f"{where} is not a JSON object, got {type(row).__name__}")
+            _get(row, "strategy", str, where)
+            _get(row, "n_topk", int, where)
+            for name in ("mean_rerank_ms", "recall_at_1", "mrr"):
+                _get(row, name, _NUMBER, where)
+    for stage in ("baseline", "reranked"):
+        if stage not in summary:
+            continue
+        where = f"summary[{stage!r}]"
+        block = _get(summary, stage, dict, "summary")
+        recall = _get(block, "recall", dict, where)
+        mrr = _get(block, "mrr", dict, where)
+        for radius in recall:
+            _check_key(radius, float, f"{where}['recall']")
+            by_k = _get(recall, radius, dict, f"{where}['recall']")
+            for k in by_k:
+                _check_key(k, int, f"{where}['recall'][{radius!r}]")
+                _get(by_k, k, _NUMBER, f"{where}['recall'][{radius!r}]")
+            _get(mrr, radius, _NUMBER, f"{where}['mrr']")
+        if "success_rate" in block:
+            _get(block, "success_rate", _NUMBER, where)
+            _get(block, "mean_rte", _NUMBER_OR_NULL, where)
+            _get(block, "mean_rre", _NUMBER_OR_NULL, where)
+    if "top1_distance" in summary:
+        by_radius = _get(summary, "top1_distance", dict, "summary")
+        for radius in by_radius:
+            _check_key(radius, float, "summary['top1_distance']")
+            where = f"summary['top1_distance'][{radius!r}]"
+            stats = _get(by_radius, radius, dict, "summary['top1_distance']")
+            _get(stats, "violations", int, where)
+            _get(stats, "mean_top1_distance_before", _NUMBER, where)
+            _get(stats, "mean_top1_distance_after", _NUMBER, where)
+
+
 def read_results(path) -> ResultsReport:
     path = Path(path)
     objects: dict = {"config": {}, "summary": {}}  # the header's config, the summary's summary
@@ -262,6 +334,11 @@ def read_results(path) -> ResultsReport:
             if not isinstance(rec[key], dict):
                 raise IoError(f"{path}:{lineno}: {kind} record's {key!r} is not a JSON object, "
                               f"got {type(rec[key]).__name__}")
+            if kind == "summary":
+                try:
+                    _check_summary(rec[key])
+                except _Malformed as exc:
+                    raise IoError(f"{path}:{lineno}: {exc}") from None
             objects[key] = rec[key]
         else:
             raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")

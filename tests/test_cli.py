@@ -165,6 +165,20 @@ class TestRun:
         shown = capsys.readouterr().out
         assert "baseline" in shown and "reranked" in shown
 
+    def test_a_run_where_no_query_registers_prints_and_reports(self, small_dataset, tmp_path,
+                                                               capsys):
+        # n_max 2 leaves RANSAC too few correspondences, so the mean pose
+        # errors are null
+        cfg = write_config(tmp_path / "r.cfg", n_max=2)
+        out = tmp_path / "results.jsonl"
+        assert main(["run", "--config", str(cfg), "--manifest", str(small_dataset),
+                     "--threads", "1", "--out", str(out)]) == 0
+        assert read_results(out).summary["reranked"]["mean_rte"] is None
+        shown = capsys.readouterr().out
+        assert "success=0.00% mean_rte=n/a m mean_rre=n/a deg" in shown
+        assert main(["report", str(out)]) == 0
+        assert "success=0.00% mean_rte=n/a m mean_rre=n/a deg" in capsys.readouterr().out
+
     def test_spectral_run_reports_the_one_thread_it_ran_on(self, small_dataset, tmp_path,
                                                            capsys):
         out = tmp_path / "results.jsonl"
@@ -254,8 +268,11 @@ class TestRun:
     @pytest.mark.parametrize("record", [
         "[1, 2]", '{"kind": "header"}', '{"kind": "summary", "mrr": 1.0}',
         '{"kind": "header", "config": "x"}', '{"kind": "summary", "summary": "baseline"}',
+        '{"kind": "summary", "summary": {"baseline": {"recall": 1}}}',
+        '{"kind": "summary", "summary": {"bench": [{"strategy": "none", "n_topk": 2}]}}',
     ], ids=["array", "header-without-config", "summary-without-summary",
-            "config-not-an-object", "summary-not-an-object"])
+            "config-not-an-object", "summary-not-an-object", "metric-block-not-an-object",
+            "bench-row-without-metrics"])
     def test_report_on_a_malformed_record_exits_2(self, tmp_path, capsys, record):
         path = tmp_path / "r.jsonl"
         path.write_text(record + "\n")

@@ -211,6 +211,96 @@ def test_partial_rankings_write_the_records_of_full_rankings(deep_world, strateg
     assert k0 < deepest < n
 
 
+@pytest.fixture(scope="module")
+def default_world():
+    return generate_world(WorldConfig())
+
+
+@pytest.fixture(scope="module")
+def hard_world():
+    return generate_world(WorldConfig(outlier_rate=0.85, feature_noise_sigma=0.2))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+@pytest.mark.parametrize("world_name", ["default_world", "hard_world", "deep_world"])
+def test_block_size_does_not_change_the_results(request, world_name, strategy, threads):
+    # at block size 1 the stages run query by query; 50 queries leave a
+    # partial last block of 2 at block size 3. RANSAC runs to its iteration
+    # cap on most hard-world pairs, so a lower cap and, for RANSAC-RIR, which
+    # registers every candidate, 5 candidates keep the test short
+    world = request.getfixturevalue(world_name)
+    assert len(world.queries) % 3 != 0
+    n_topk = 5 if strategy == Strategy.RANSAC_RIR.value else 20
+    cfg = RunConfig(strategy=strategy, n_topk=n_topk, threads=threads, seed=2,
+                    ransac=RansacParams(max_iterations=100))
+    results = []
+    for block in (1, 3, pipeline._BLOCK):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pipeline, "_BLOCK", block)
+            outcomes = process_queries(world.database, world.queries, cfg)
+        results.append(comparable(build_report(outcomes, cfg, len(world.database))))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+class TestFailureInsideABlock:
+    """One query's failure inside a block degrades that query alone."""
+
+    FAILING = 4  # mid-block at block size 3 and at the default
+
+    def records(self, world, cfg):
+        outcomes = process_queries(world.database, world.queries, cfg)
+        return [{key: v for key, v in rec.items() if key != "timings"}
+                for rec in build_report(outcomes, cfg, len(world.database)).per_query]
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_a_failed_rerank_keeps_that_querys_retrieval_order(self, noisy_world, block,
+                                                               monkeypatch):
+        cfg = RunConfig(strategy="spectral", n_topk=5, threads=1)
+        expected = self.records(noisy_world, cfg)
+        failing_id = noisy_world.queries[self.FAILING].id
+        rerank_spectral = pipeline.rerank_spectral
+
+        def failing(query, *args, **kwargs):
+            if query.id == failing_id:
+                raise ScanrankError("planted re-rank failure")
+            return rerank_spectral(query, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "rerank_spectral", failing)
+        if block is not None:
+            monkeypatch.setattr(pipeline, "_BLOCK", block)
+        got = self.records(noisy_world, cfg)
+        assert got[self.FAILING]["ranked_post"] == got[self.FAILING]["ranked_pre"]
+        assert expected[self.FAILING]["ranked_post"] != expected[self.FAILING]["ranked_pre"]
+        for qi, (rec, ref) in enumerate(zip(got, expected)):
+            if qi != self.FAILING:
+                assert rec == ref, qi
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_a_failed_registration_loses_that_querys_pose_only(self, noisy_world, block,
+                                                               monkeypatch):
+        cfg = RunConfig(strategy="spectral", n_topk=5, threads=1)
+        expected = self.records(noisy_world, cfg)
+        failing_seed = pipeline._query_seed(cfg.seed, self.FAILING, 1)
+        ransac_register = pipeline.ransac_register
+
+        def failing(corrs, params):
+            if params.seed == failing_seed:
+                raise ScanrankError("planted registration failure")
+            return ransac_register(corrs, params)
+
+        monkeypatch.setattr(pipeline, "ransac_register", failing)
+        if block is not None:
+            monkeypatch.setattr(pipeline, "_BLOCK", block)
+        got = self.records(noisy_world, cfg)
+        assert expected[self.FAILING]["rte"] is not None
+        assert got[self.FAILING] == {**expected[self.FAILING], "rte": None, "rre": None}
+        for qi, (rec, ref) in enumerate(zip(got, expected)):
+            if qi != self.FAILING:
+                assert rec == ref, qi
+
+
 class TestDistances:
     def test_positives_and_top1_distances_equal_geo_distance_loop(self):
         # 20,000 query-to-scan distances: a row norm that sums the three

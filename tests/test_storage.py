@@ -497,8 +497,20 @@ class TestResultsFile:
          "header record's 'config' is not a JSON object, got str"),
         ('{"kind": "summary", "summary": "baseline"}',
          "summary record's 'summary' is not a JSON object, got str"),
+        ('{"kind": "summary", "summary": {"baseline": {"recall": 1}}}',
+         "summary['baseline']['recall'] is not a JSON object, got int"),
+        ('{"kind": "summary", "summary": {"reranked": {"recall": {"5.0": {"1": 50.0}}, '
+         '"mrr": {}}}}', "summary['reranked']['mrr'] has no '5.0'"),
+        ('{"kind": "summary", "summary": {"baseline": {"recall": {"near": {}}, "mrr": {}}}}',
+         "summary['baseline']['recall'] has the key 'near', which is not a number"),
+        ('{"kind": "summary", "summary": {"top1_distance": {"5.0": {"violations": 0.5}}}}',
+         "summary['top1_distance']['5.0']['violations'] is not an integer, got float"),
+        ('{"kind": "summary", "summary": {"bench": [{"strategy": "none", "n_topk": 2}]}}',
+         "summary['bench'][0] has no 'mean_rerank_ms'"),
     ], ids=["array", "header-without-config", "summary-without-summary",
-            "config-not-an-object", "summary-not-an-object"])
+            "config-not-an-object", "summary-not-an-object", "metric-block-not-an-object",
+            "mrr-without-a-recall-radius", "radius-not-a-number", "violations-not-an-integer",
+            "bench-row-without-metrics"])
     def test_malformed_record_is_io_error_at_its_line(self, tmp_path, record, message):
         path = tmp_path / "r.jsonl"
         path.write_text('{"config": {}, "kind": "header"}\n' + record + "\n")
