@@ -231,6 +231,8 @@ class ScanRecord:
             raise ValueError(
                 f"local_features rows ({feats.shape}) must match cloud points ({cloud.shape[0]})"
             )
+        if feats.shape[1] < 1:
+            raise ValueError(f"local_features must have d' >= 1 columns, got {feats.shape}")
         if desc.ndim != 1 or desc.shape[0] < 1:
             raise ValueError(f"global_descriptor must be a non-empty vector, got {desc.shape}")
         if geo.shape != (3,):

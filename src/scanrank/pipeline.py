@@ -8,13 +8,15 @@ All randomness derives from the run seed via per-query seed sequences, so
 outcomes do not depend on the order the queries' calls run in. Only
 RANSAC-RIR spreads its candidates over `threads` workers, each seeded by its
 ordinal, so identical configs produce identical metric summaries regardless
-of thread count.
+of thread count. A RANSAC-RIR run opens one pool of those workers for all
+its queries; every other strategy opens none.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -36,6 +38,7 @@ from .rerank import (
     rerank_average_qe,
     rerank_rir,
     rerank_spectral,
+    rir_pool,
 )
 from .retrieval import Database, RankedList, build_index, query_topk
 from .spectral import SpectralParams
@@ -81,13 +84,13 @@ class RunConfig:
         if not all(k >= 1 for k in self.recall_ks):
             raise ValueError(f"every recall k must be >= 1, got {self.recall_ks}")
 
-    def workers(self) -> int:
-        return self.threads if self.threads > 0 else len(os.sched_getaffinity(0))
-
     def threads_used(self, strategies) -> int:
         """Threads a run of `strategies` spreads work over: only RANSAC-RIR
-        uses the workers, every other strategy runs on one."""
-        return self.workers() if Strategy.RANSAC_RIR.value in strategies else 1
+        uses `threads` workers (0 = one per CPU), every other strategy runs
+        on one."""
+        if Strategy.RANSAC_RIR.value not in strategies:
+            return 1
+        return self.threads if self.threads > 0 else len(os.sched_getaffinity(0))
 
 
 def _query_seed(run_seed: int, query_ordinal: int, stream: int) -> int:
@@ -100,7 +103,7 @@ def _rerank(
     query: ScanRecord,
     ranked: RankedList,
     query_ordinal: int,
-    workers: int,
+    pool: Executor | None,
 ) -> RankedList:
     strategy = Strategy(cfg.strategy)
     if strategy is Strategy.NONE:
@@ -109,7 +112,7 @@ def _rerank(
         return rerank_spectral(query, ranked, cfg.n_topk, cfg.spectral)
     if strategy is Strategy.RANSAC_RIR:
         ransac = replace(cfg.ransac, seed=_query_seed(cfg.seed, query_ordinal, 0))
-        return rerank_rir(query, ranked, cfg.n_topk, cfg.spectral, ransac, workers=workers)
+        return rerank_rir(query, ranked, cfg.n_topk, cfg.spectral, ransac, pool)
     n_qe = min(_n_qe(cfg), len(ranked))
     # the new list holds as many rows as the old; its keys order the rest
     if strategy is Strategy.AVERAGE_QE:
@@ -154,7 +157,6 @@ def process_queries(
     once, for the positives, the ranks and the top-1 distances.
     """
     db = build_index(database)
-    workers = cfg.workers()
     k0 = min(len(db), max(cfg.n_topk, *cfg.recall_ks, _n_qe(cfg)))
 
     def retrieve(qi: int, query: ScanRecord) -> RankedList:
@@ -162,7 +164,7 @@ def process_queries(
 
     def rerank(qi: int, query: ScanRecord, ranked_pre: RankedList) -> RankedList:
         try:
-            return _rerank(cfg, query, ranked_pre, qi, workers)
+            return _rerank(cfg, query, ranked_pre, qi, pool)
         except ScanrankError:
             return ranked_pre
 
@@ -178,15 +180,16 @@ def process_queries(
             return None, None
 
     outcomes: list[QueryOutcome] = []
-    for start in range(0, len(queries), _BLOCK):
-        block = list(enumerate(queries[start:start + _BLOCK], start))
-        pre, retrieve_ms = _timed_stage(retrieve, block)
-        post, rerank_ms = _timed_stage(rerank, block, pre)
-        poses, register_ms = _timed_stage(register, block, post)
-        for i, (_, query) in enumerate(block):
-            timings = {"retrieve_ms": retrieve_ms[i], "rerank_ms": rerank_ms[i],
-                       "register_ms": register_ms[i]}
-            outcomes.append(_outcome(db, cfg, query, pre[i], post[i], poses[i], timings))
+    with rir_pool(cfg.threads_used((cfg.strategy,))) as pool:
+        for start in range(0, len(queries), _BLOCK):
+            block = list(enumerate(queries[start:start + _BLOCK], start))
+            pre, retrieve_ms = _timed_stage(retrieve, block)
+            post, rerank_ms = _timed_stage(rerank, block, pre)
+            poses, register_ms = _timed_stage(register, block, post)
+            for i, (_, query) in enumerate(block):
+                timings = {"retrieve_ms": retrieve_ms[i], "rerank_ms": rerank_ms[i],
+                           "register_ms": register_ms[i]}
+                outcomes.append(_outcome(db, cfg, query, pre[i], post[i], poses[i], timings))
     return outcomes
 
 

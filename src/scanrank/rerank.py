@@ -8,9 +8,11 @@ database, so their output may contain rows absent from the input list.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -61,9 +63,9 @@ def rerank_spectral(
 
 def _rir_fitness(
     query: ScanRecord,
-    cand: ScanRecord,
     spectral: SpectralParams,
     ransac: RansacParams,
+    cand: ScanRecord,
     ordinal: int,
 ) -> float:
     # Candidates that cannot produce a score get fitness 0 rather than
@@ -75,28 +77,30 @@ def _rir_fitness(
         return 0.0
 
 
+def rir_pool(workers: int) -> AbstractContextManager[Executor | None]:
+    """The pool `rerank_rir` registers candidates on for a whole run: a
+    `workers`-thread pool, shut down on exit, or None below 2 workers."""
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
 def rerank_rir(
     query: ScanRecord,
     ranked: RankedList,
     n_topk: int,
     spectral: SpectralParams = SpectralParams(),
     ransac: RansacParams = RansacParams(),
-    workers: int = 1,
+    pool: Executor | None = None,
 ) -> RankedList:
     """Re-rank the top-k prefix by inlier ratio after per-candidate RANSAC.
 
-    Each candidate registers with a seed derived from its ordinal, so the
-    result is independent of scheduling.
+    The candidates register on `pool` (one `rir_pool` per run), or on the
+    calling thread if it is None. Each candidate registers with a seed
+    derived from its ordinal, so the result is independent of scheduling.
     """
     scans = ranked.scans(n_topk)
-    if workers > 1 and len(scans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fitness = list(pool.map(
-                lambda io: _rir_fitness(query, io[1], spectral, ransac, io[0]), enumerate(scans)
-            ))
-    else:
-        fitness = [_rir_fitness(query, cand, spectral, ransac, i) for i, cand in enumerate(scans)]
-    return _reorder_prefix(ranked, np.asarray(fitness))
+    fitness = (map if pool is None else pool.map)(
+        partial(_rir_fitness, query, spectral, ransac), scans, range(len(scans)))
+    return _reorder_prefix(ranked, np.fromiter(fitness, np.float64, len(scans)))
 
 
 def _expansion(

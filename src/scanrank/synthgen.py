@@ -222,8 +222,25 @@ def generate_world(config: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(database, queries, truth, landmark_ids, query_sources)
 
 
+def _check_ids(records: list[ScanRecord]) -> None:
+    """Each id must name one archive inside the output directory and be one
+    manifest field: non-empty, no whitespace, no slash or backslash, not
+    `.` or `..`, no leading `#`, and unique."""
+    seen: set[str] = set()
+    for record in records:
+        scan_id = record.id
+        if (scan_id.split() != [scan_id] or "/" in scan_id or "\\" in scan_id
+                or scan_id in (".", "..") or scan_id.startswith("#")):
+            raise IoError(f"scan id {scan_id!r} cannot name an archive in a manifest")
+        if scan_id in seen:
+            raise IoError(f"duplicate scan id {scan_id!r}")
+        seen.add(scan_id)
+
+
 def export_world(world: SyntheticWorld, out_dir) -> Path:
-    """Write scan archives plus a manifest; returns the manifest path."""
+    """Write scan archives plus a manifest; returns the manifest path.
+    Every id is checked before anything is written."""
+    _check_ids([*world.database, *world.queries])
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,21 @@ def first_positive_rank(ids, positives) -> int | None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# how long a test's leftover threads get to finish before they count as leaked
+THREAD_JOIN_S = 5.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves alive a Python thread it started: a run's
+    worker pool must be shut down by the time the run returns."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_JOIN_S
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = [t.name for t in set(threading.enumerate()) - before]
+    if leaked:
+        pytest.fail(f"threads left alive: {sorted(leaked)}")

@@ -235,6 +235,11 @@ class TestScanRecord:
         with pytest.raises(ValueError, match="match cloud points"):
             make_scan("a", np.zeros((2, 3)), features=np.zeros((3, 4)))
 
+    def test_features_must_have_a_column(self):
+        # zero-width features would match every point to candidate point 0
+        with pytest.raises(ValueError, match="d' >= 1"):
+            make_scan("a", np.zeros((3, 3)), features=np.zeros((3, 0)))
+
     def test_rejects_empty_cloud(self):
         with pytest.raises(ValueError):
             make_scan("a", np.zeros((0, 3)))

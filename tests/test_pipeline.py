@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from scanrank import pipeline, rerank, retrieval, spectral
-from scanrank.errors import ScanrankError
+from scanrank.errors import DimMismatchError, ScanrankError
 from scanrank.geometry import geo_distance
 from scanrank.metrics import (
     build_metric_report,
@@ -55,7 +56,7 @@ def full_rankings(world, cfg):
     for qi, query in enumerate(world.queries):
         pre = query_topk(db, query.global_descriptor, k=len(db))
         try:
-            post = pipeline._rerank(cfg, query, pre, qi, cfg.workers())
+            post = pipeline._rerank(cfg, query, pre, qi, None)
         except ScanrankError:
             post = pre
         assert len(pre.ids) == len(post.ids) == len(db)
@@ -300,6 +301,32 @@ class TestFailureInsideABlock:
             if qi != self.FAILING:
                 assert rec == ref, qi
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_failed_rir_candidate_fails_only_its_query_on_the_shared_pool(
+            self, noisy_world, threads, monkeypatch):
+        # the candidates of every query share the run's pool; a typed error
+        # raised inside it for one query's candidates re-ranks that query
+        # not at all and leaves the other queries and the pool's threads be
+        cfg = RunConfig(strategy="ransac_rir", n_topk=5, threads=threads)
+        expected = self.records(noisy_world, cfg)
+        failing_id = noisy_world.queries[self.FAILING].id
+        match_features = rerank.match_features
+
+        def failing(query, *args, **kwargs):
+            if query.id == failing_id:
+                raise DimMismatchError("planted matching failure")
+            return match_features(query, *args, **kwargs)
+
+        monkeypatch.setattr(rerank, "match_features", failing)
+        before = set(threading.enumerate())
+        got = self.records(noisy_world, cfg)
+        assert set(threading.enumerate()) <= before
+        assert got[self.FAILING]["ranked_post"] == got[self.FAILING]["ranked_pre"]
+        assert expected[self.FAILING]["ranked_post"] != expected[self.FAILING]["ranked_pre"]
+        for qi, (rec, ref) in enumerate(zip(got, expected)):
+            if qi != self.FAILING:
+                assert rec == ref, qi
+
 
 class TestDistances:
     def test_positives_and_top1_distances_equal_geo_distance_loop(self):
@@ -455,6 +482,24 @@ class TestDeterminism:
                 run(aliased_world.database, aliased_world.queries, cfg)
             lines.append(summary_line(out))
         assert lines[0] == lines[1]
+
+    @pytest.mark.parametrize("strategy,threads,pools", [
+        ("ransac_rir", 2, 1), ("ransac_rir", 1, 0), ("spectral", 2, 0)])
+    def test_a_run_opens_at_most_one_pool(self, aliased_world, monkeypatch,
+                                          strategy, threads, pools):
+        # RANSAC-RIR registers the candidates of every query on one pool
+        opened = []
+
+        class CountedPool(rerank.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rerank, "ThreadPoolExecutor", CountedPool)
+        cfg = RunConfig(strategy=strategy, n_topk=3, threads=threads)
+        assert len(aliased_world.queries) >= 4
+        process_queries(aliased_world.database, aliased_world.queries, cfg)
+        assert len(opened) == pools
 
     def test_rir_strategy_deterministic_across_threads(self, aliased_world, tmp_path):
         lines = []

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -131,10 +132,13 @@ class TestRerankRir:
         assert out.rows.tolist() == [5, 4, 3, 2, 1, 0]
 
     def test_scheduling_independence(self, rng):
+        # on a caller's 4-worker pool the candidates rank as on the calling thread
         query, ranked = feature_world(rng, n_candidates=8)
-        base = rerank_rir(query, ranked, 8, workers=1)
-        again = rerank_rir(query, ranked, 8, workers=4)
+        base = rerank_rir(query, reversed_list(ranked), 8)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            again = rerank_rir(query, reversed_list(ranked), 8, pool=pool)
         assert np.array_equal(base.rows, again.rows)
+        assert base.rows[0] == 0
 
 
 @pytest.mark.parametrize("rerank", [rerank_spectral, rerank_rir])

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -157,6 +160,24 @@ class TestExportWorld:
         files = sorted(p.name for p in (tmp_path / "w").iterdir())
         assert "manifest.txt" in files
         assert len([f for f in files if f.endswith(".sgv")]) == 4
+
+    @pytest.mark.parametrize("bad", ["../escaped", "a b", "a/b", "a\\b", ".", "..", "#c",
+                                     "tab\there", "q0000"])
+    def test_bad_id_raises_before_anything_is_written(self, tmp_path, bad):
+        # an id names its archive and is one manifest field; "q0000" is
+        # also the first query's id
+        world = generate_world(small_config(num_places=3, num_queries=1, alias_fraction=0.0))
+        world.database[1] = dataclasses.replace(world.database[1], id=bad)
+        with pytest.raises(IoError, match=re.escape(repr(bad))):
+            export_world(world, tmp_path / "out" / "w")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_valid_ids_load_back(self, tmp_path):
+        world = generate_world(small_config(num_places=3, num_queries=2, alias_fraction=0.0))
+        world.database[:] = [dataclasses.replace(r, id=f"db.{n}-x_")
+                             for n, r in enumerate(world.database)]
+        database, queries = load_dataset(export_world(world, tmp_path / "w"))
+        assert [r.id for r in database + queries] == [r.id for r in world.database + world.queries]
 
     def test_unwritable_directory_raises(self, tmp_path):
         blocker = tmp_path / "blocker"
