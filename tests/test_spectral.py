@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -551,6 +552,22 @@ class TestBatchedScoring:
             batch, _ = score_candidates(query, cands, params)
             solo = np.array([score_candidates(query, [c], params)[0][0] for c in cands])
             assert np.array_equal(batch, solo)
+
+    @pytest.mark.parametrize("order", [False, True])
+    def test_working_set_of_a_20_candidate_call(self, rng, order):
+        # the (b, n, N) NN distance stack is freed before the compatibility
+        # stack is built: 2.22 (b+1) n^2 float64 at the peak, 3.17 with both
+        b, n = 20, 96
+        query = identity_feature_scan("q", rng, n=n, dim=16)
+        cands = [identity_feature_scan(f"c{i}", rng, n=n, dim=16) for i in range(b)]
+        score_candidates(query, cands, order=order)
+        tracemalloc.start()
+        try:
+            score_candidates(query, cands, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (b + 1) * n * n * 8
 
     def test_stack_equals_build_compatibility_matrix_bitwise(self, rng, monkeypatch):
         stacks = []

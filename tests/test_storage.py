@@ -37,7 +37,7 @@ from scanrank.storage import (
     write_scan,
 )
 
-from conftest import make_scan
+from conftest import MISPLACED_RECORDS, make_scan
 
 
 def one_point_scan(scan_id="s0"):
@@ -515,6 +515,15 @@ class TestResultsFile:
         path = tmp_path / "r.jsonl"
         path.write_text('{"config": {}, "kind": "header"}\n' + record + "\n")
         with pytest.raises(IoError, match=rf"{re.escape(str(path))}:2: {re.escape(message)}"):
+            read_results(path)
+
+    @pytest.mark.parametrize("lines, where, message", [case[1:] for case in MISPLACED_RECORDS],
+                             ids=[case[0] for case in MISPLACED_RECORDS])
+    def test_one_header_first_and_one_summary_last(self, tmp_path, lines, where, message):
+        # `report` printed nothing and exited 0 on each of these files
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(IoError, match=rf"^{re.escape(f'{path}{where}: {message}')}$"):
             read_results(path)
 
     def test_unwritable_target_raises_io_error(self, tmp_path):
